@@ -37,7 +37,7 @@ from .evaluation import (
     pearson,
 )
 from .ingest import Recording, read_edf, read_matrix_text, select, write_edf, write_matrix_text
-from .numerics import EigenDecomposition, gram_schmidt_orthonormal, norm, symmetric_eig
+from .numerics import EigenDecomposition, gram_schmidt_orthonormal, symmetric_eig
 from .pca import PcaModel, fit_pca, pca_separate, second_moment
 from .separation import (
     DirectionEstimate,

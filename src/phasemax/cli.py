@@ -10,7 +10,8 @@ Exit codes are a stable scripting contract: 0 success, 2 usage or
 configuration error, 3 I/O or file-content error, 4 degenerate
 numerical input, 5 unsupported format feature.  All numeric output is
 17-significant-digit locale-independent decimal text, so a command with
-fixed inputs and seed writes byte-identical files on every run.
+fixed inputs and seed writes byte-identical files on every run on the
+same machine and numpy/LAPACK build.
 """
 
 from __future__ import annotations
@@ -56,16 +57,26 @@ EXIT_UNSUPPORTED = 5
 
 
 def _require_keys(obj: dict, allowed, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{context}: must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise InvalidSpecError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+
+
+def _typed(kind, value, context: str):
+    """``kind(value)``, with a failed conversion reported as a spec error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidSpecError(f"{context}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidSpecError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise InvalidSpecError(f"{path}: top level must be an object")
@@ -73,13 +84,12 @@ def _load_json(path) -> dict:
 
 
 def _pulse_from_json(obj, context: str) -> signals.Pulse:
-    if not isinstance(obj, dict):
-        raise InvalidSpecError(f"{context}: each pulse must be an object")
-    _require_keys(obj, ("center", "width", "amplitude"), context)
-    for key in ("center", "width", "amplitude"):
+    keys = ("center", "width", "amplitude")
+    _require_keys(obj, keys, context)
+    for key in keys:
         if key not in obj:
             raise InvalidSpecError(f"{context}: missing field {key}")
-    return signals.Pulse(float(obj["center"]), float(obj["width"]), float(obj["amplitude"]))
+    return signals.Pulse(*(_typed(float, obj[key], f"{context}: {key}") for key in keys))
 
 
 def _fixture_from_json(obj, context: str = "fixture") -> signals.PulseTrainSpec:
@@ -87,27 +97,32 @@ def _fixture_from_json(obj, context: str = "fixture") -> signals.PulseTrainSpec:
     if "n_samples" not in obj or "sources" not in obj:
         raise InvalidSpecError(f"{context}: needs n_samples and sources")
     sources = []
-    for j, train in enumerate(obj["sources"], start=1):
+    for j, train in enumerate(_typed(tuple, obj["sources"], f"{context}: sources"), start=1):
         sources.append(
             tuple(
                 _pulse_from_json(p, f"{context}: source {j}, pulse {k}")
-                for k, p in enumerate(train, start=1)
+                for k, p in enumerate(_typed(tuple, train, f"{context}: source {j}"), start=1)
             )
         )
-    return signals.PulseTrainSpec(int(obj["n_samples"]), tuple(sources))
+    n_samples = _typed(int, obj["n_samples"], f"{context}: n_samples")
+    return signals.PulseTrainSpec(n_samples, tuple(sources))
+
+
+def _preset_from_json(obj) -> signals.PulseTrainSpec:
+    name = obj["preset"]
+    if not isinstance(name, str) or name not in PRESETS:
+        raise InvalidSpecError(f"config: unknown preset {name!r}; expected {sorted(PRESETS)}")
+    return PRESETS[name](_typed(int, obj.get("n_samples", 1000), "config: n_samples"))
 
 
 def _gen_config(obj) -> tuple:
     _require_keys(obj, ("preset", "n_samples", "sources", "mixing", "noise_sd"), "config")
-    noise_sd = float(obj.get("noise_sd", 0.0))
+    noise_sd = _typed(float, obj.get("noise_sd", 0.0), "config: noise_sd")
     mixing = _mixing_from_json(obj["mixing"]) if obj.get("mixing") is not None else None
     if "preset" in obj:
         if "sources" in obj:
             raise InvalidSpecError("config: give either preset or sources, not both")
-        name = obj["preset"]
-        if name not in PRESETS:
-            raise InvalidSpecError(f"config: unknown preset {name!r}; expected {sorted(PRESETS)}")
-        spec = PRESETS[name](int(obj.get("n_samples", 1000)))
+        spec = _preset_from_json(obj)
     else:
         spec = _fixture_from_json(
             {k: obj[k] for k in ("n_samples", "sources") if k in obj}, "config"
@@ -116,7 +131,10 @@ def _gen_config(obj) -> tuple:
 
 
 def _mixing_from_json(obj, context: str = "mixing") -> np.ndarray:
-    matrix = np.asarray(obj, dtype=float)
+    try:
+        matrix = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        matrix = np.empty(0)  # reported as not square just below
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidSpecError(f"{context}: must be a square matrix of numbers")
     return matrix
@@ -126,7 +144,10 @@ def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
     _require_keys(obj, ("method", "whitening", "order", "centered"), context)
     if "method" not in obj:
         raise InvalidSpecError(f"{context}: missing field method")
-    order = tuple(int(i) for i in obj["order"]) if "order" in obj else None
+    order = None
+    if "order" in obj:
+        items = _typed(tuple, obj["order"], f"{context}: order")
+        order = tuple(_typed(int, i, f"{context}: order") for i in items)
     return evaluation.MethodSpec(
         name=str(obj["method"]),
         whitening=str(obj.get("whitening", "gram_schmidt")),
@@ -139,10 +160,7 @@ def _montecarlo_config(obj) -> evaluation.MonteCarloConfig:
     allowed = ("fixture", "preset", "n_samples", "mixing", "noise_sd", "n_runs", "base_seed", "methods")
     _require_keys(obj, allowed, "config")
     if "preset" in obj:
-        name = obj["preset"]
-        if name not in PRESETS:
-            raise InvalidSpecError(f"config: unknown preset {name!r}; expected {sorted(PRESETS)}")
-        fixture = PRESETS[name](int(obj.get("n_samples", 1000)))
+        fixture = _preset_from_json(obj)
     elif "fixture" in obj:
         fixture = _fixture_from_json(obj["fixture"])
     else:
@@ -156,9 +174,9 @@ def _montecarlo_config(obj) -> evaluation.MonteCarloConfig:
     mixing = _mixing_from_json(obj["mixing"]) if obj.get("mixing") is not None else None
     return evaluation.MonteCarloConfig(
         fixture=fixture,
-        noise_sds=tuple(float(s) for s in sds),
-        n_runs=int(obj.get("n_runs", 200)),
-        base_seed=int(obj.get("base_seed", 0)),
+        noise_sds=tuple(_typed(float, s, "config: noise_sd") for s in sds),
+        n_runs=_typed(int, obj.get("n_runs", 200), "config: n_runs"),
+        base_seed=_typed(int, obj.get("base_seed", 0), "config: base_seed"),
         methods=tuple(
             _method_from_json(m, f"config: methods[{k}]") for k, m in enumerate(methods)
         ),
@@ -268,7 +286,7 @@ def _cmd_separate(args) -> int:
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     if args.center:
         signal = signals.center(signal)
-    order = tuple(int(i) for i in args.order.split(",")) if args.order else None
+    order = tuple(_typed(int, i, "--order") for i in args.order.split(",")) if args.order else None
 
     if args.method == "max":
         result = separation.separate_maximum(signal, whitening=args.whiten, order=order)

@@ -122,12 +122,23 @@ def read_matrix_text(
     Raises
     ------
     ParseError
-        Naming the 1-based line and column of the first bad token.
+        Naming the 1-based line and column of the first bad token, or
+        the line of the first byte that is not ASCII.
     RaggedRowsError
         If rows have differing column counts.
+    OutOfBoundsError
+        If ``max_samples`` is below 1 or ``skip_columns`` leaves no column.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    if max_samples is not None and max_samples < 1:
+        raise OutOfBoundsError(f"max_samples must be >= 1, got {max_samples}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so the offset is absolute
+        raw, at = exc.object, exc.start
+        lineno = raw.count(b"\n", 0, at) + 1
+        raise ParseError(f"line {lineno}: byte {raw[at]:#04x} is not ASCII", line=lineno) from None
 
     labels = None
     width = None
@@ -284,6 +295,10 @@ def read_edf_header(fh: io.BufferedReader) -> EdfHeader:
     header_bytes = _int_field(fields["header_bytes"], "header_bytes")
     n_records = _int_field(fields["n_records"], "n_records")
     record_duration = _float_field(fields["record_duration"], "record_duration")
+    if not 0.0 < record_duration < np.inf:
+        raise MalformedHeaderError(
+            "record_duration", f"record_duration must be positive and finite, got {record_duration}"
+        )
     n_signals = _int_field(fields["n_signals"], "n_signals")
     if n_signals < 1:
         raise MalformedHeaderError("n_signals", f"n_signals must be >= 1, got {n_signals}")
@@ -396,6 +411,8 @@ def read_edf(path, channels=None, max_samples: int | None = None) -> Recording:
     MalformedHeaderError, UnsupportedFeatureError, TruncatedDataError,
     OutOfBoundsError
     """
+    if max_samples is not None and max_samples < 1:
+        raise OutOfBoundsError(f"max_samples must be >= 1, got {max_samples}")
     with open(path, "rb") as fh:
         header = read_edf_header(fh)
         indices = _resolve_channels(header, channels)

@@ -1,11 +1,10 @@
 """Dense small-dimension linear algebra kernels.
 
-Channel counts in this package are small (a handful of electrode leads),
-so the routines here favour robustness and reproducibility over raw
-speed: the symmetric eigensolver is a cyclic Jacobi iteration with a
-fixed sign convention, and orthonormalization is a modified Gram-Schmidt
-that fails loudly on rank-deficient input instead of silently reducing
-rank.
+Channel counts in this package are small (a handful of electrode leads).
+The symmetric eigensolver is LAPACK's, via ``np.linalg.eigh``, wrapped
+in a fixed ordering and sign convention; orthonormalization is a
+modified Gram-Schmidt that fails loudly on rank-deficient input instead
+of silently reducing rank.
 
 All functions are pure: arguments are never mutated and results are
 freshly allocated, so concurrent use is safe.
@@ -24,11 +23,6 @@ from .errors import (
     NotSymmetricError,
 )
 
-# Jacobi sweep budget and the relative off-diagonal mass at which the
-# iteration is considered converged.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFFDIAG_TOL = 1e-12
-
 # Residual norm below this fraction of the input row norm means linear
 # dependence.
 _DEPENDENCE_TOL = 1e-12
@@ -45,27 +39,6 @@ def _as_finite_array(values, name, ndim):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
-
-
-def norm(v) -> float:
-    """Euclidean length of a vector.
-
-    Parameters
-    ----------
-    v : array_like
-        One-dimensional real vector.
-
-    Returns
-    -------
-    float
-        ``sqrt(sum(v_i**2))``, always >= 0.
-    """
-    arr = _as_finite_array(v, "vector", ndim=1)
-    scale = np.max(np.abs(arr))
-    if scale == 0.0:
-        return 0.0
-    scaled = arr / scale  # keeps squares in range for extreme magnitudes
-    return float(scale * np.sqrt(np.dot(scaled, scaled)))
 
 
 def gram_schmidt_orthonormal(rows):
@@ -124,59 +97,23 @@ class EigenDecomposition:
     ``eigenvalues`` are sorted in descending order and ``eigenvectors``
     holds the matching unit-norm eigenvectors as columns.  The sign of
     each column is fixed so that its largest-magnitude entry is
-    positive (first such entry on ties), which makes results
-    reproducible across runs and platforms.
+    positive (first such entry on ties), so that results do not depend
+    on the sign LAPACK happens to return.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotate(a, v, p, q):
-    """One Jacobi rotation zeroing a[p, q]; updates a and v in place."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    if theta >= 0.0:
-        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-    else:
-        t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    n = a.shape[0]
-    for k in range(n):  # right-multiply by the rotation
-        akp, akq = a[k, p], a[k, q]
-        a[k, p] = c * akp - s * akq
-        a[k, q] = s * akp + c * akq
-    for k in range(n):  # left-multiply by its transpose
-        apk, aqk = a[p, k], a[q, k]
-        a[p, k] = c * apk - s * aqk
-        a[q, k] = s * apk + c * aqk
-    for k in range(n):
-        vkp, vkq = v[k, p], v[k, q]
-        v[k, p] = c * vkp - s * vkq
-        v[k, q] = s * vkp + c * vkq
-
-
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return np.sqrt(np.sum(off * off))
-
-
 def _fix_signs(vectors):
     """Make the largest-magnitude entry of each column positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = int(np.argmax(np.abs(col)))  # first occurrence wins ties
-        if col[lead] < 0.0:
-            out[:, j] = -col
-    return out
+    cols = np.arange(vectors.shape[1])
+    lead = np.argmax(np.abs(vectors), axis=0)  # first occurrence wins ties
+    return vectors * np.where(vectors[lead, cols] < 0.0, -1.0, 1.0)
 
 
 def symmetric_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a real symmetric matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
@@ -203,20 +140,6 @@ def symmetric_eig(m) -> EigenDecomposition:
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-9 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-9 relative")
 
-    a = 0.5 * (a + a.T)  # exact symmetry for the iteration
-    n = a.shape[0]
-    v = np.eye(n)
-    fro = np.sqrt(np.sum(a * a))
-    if fro > 0.0:
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            if _offdiag_norm(a) < _JACOBI_OFFDIAG_TOL * fro:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _jacobi_rotate(a, v, p, q)
-
-    eigenvalues = np.diag(a).copy()
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    eigenvectors = _fix_signs(v[:, order])
-    return EigenDecomposition(eigenvalues, eigenvectors)
+    return EigenDecomposition(eigenvalues[order], _fix_signs(eigenvectors[:, order]))

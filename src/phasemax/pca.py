@@ -22,7 +22,7 @@ from .errors import DegenerateInputError
 from .numerics import EigenDecomposition, symmetric_eig
 from .separation import SeparationResult, SourceEstimate
 from .signals import MultichannelSignal
-from .whitening import WhiteningTransform
+from .whitening import WhiteningTransform, second_moment
 
 # Eigenvalues below this fraction of the largest are treated as rank
 # deficiency and their components are dropped.
@@ -36,20 +36,6 @@ class PcaModel:
     eig: EigenDecomposition
     centered: bool
     channel_means: np.ndarray
-
-
-def second_moment(signal: MultichannelSignal, centered: bool = False) -> np.ndarray:
-    """Second moment matrix ``C[i][j] = sum_n x_i[n] x_j[n] / M``.
-
-    ``x`` is the raw data, or the mean-subtracted data when
-    ``centered`` is set (making C the covariance matrix).  Symmetric by
-    construction.
-    """
-    x = signal.data
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    c = x @ x.T / signal.n_samples
-    return 0.5 * (c + c.T)
 
 
 def fit_pca(signal: MultichannelSignal, centered: bool = False) -> PcaModel:

@@ -106,6 +106,20 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     return MultichannelSignal(basis), WhiteningTransform("gram_schmidt", forward, order)
 
 
+def second_moment(signal: MultichannelSignal, centered: bool = False) -> np.ndarray:
+    """Second moment matrix ``C[i][j] = sum_n x_i[n] x_j[n] / M``.
+
+    ``x`` is the raw data, or the mean-subtracted data when
+    ``centered`` is set (making C the covariance matrix).  Symmetric by
+    construction.
+    """
+    x = signal.data
+    if centered:
+        x = x - x.mean(axis=1, keepdims=True)
+    c = x @ x.T / signal.n_samples
+    return 0.5 * (c + c.T)
+
+
 def whiten_pca(signal: MultichannelSignal):
     """Whiten via eigenanalysis of the uncentered second moment matrix.
 
@@ -119,9 +133,7 @@ def whiten_pca(signal: MultichannelSignal):
         If the second moment matrix is numerically rank deficient.
     """
     data = signal.data
-    m = signal.n_samples
-    moment = data @ data.T / m
-    eig = symmetric_eig(0.5 * (moment + moment.T))
+    eig = symmetric_eig(second_moment(signal))
     if eig.eigenvalues[0] <= 0.0 or eig.eigenvalues[-1] <= 1e-12 * eig.eigenvalues[0]:
         raise DegenerateInputError("second moment matrix is rank deficient")
     components = eig.eigenvectors.T @ data

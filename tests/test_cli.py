@@ -337,6 +337,21 @@ class TestEdfCommand:
         path.write_bytes(b"not an edf file")
         assert run("edf", path, tmp_path / "o.txt") == 3
 
+    def test_zero_record_duration_exits_3(self, tmp_path, capsys):
+        path, _ = self.make_edf(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[244:252] = b"0       "
+        path.write_bytes(raw)
+        assert run("edf", path, tmp_path / "o.txt") == 3
+        assert "record_duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [-10, 0])
+    def test_non_positive_samples_exits_2(self, tmp_path, samples):
+        path, _ = self.make_edf(tmp_path)
+        out = tmp_path / "o.txt"
+        assert run("edf", path, "--samples", samples, out) == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     @staticmethod
@@ -374,3 +389,64 @@ class TestEvaluate:
         single = tmp_path / "single.txt"
         write_matrix_text(single, np.random.default_rng(1).normal(size=(1, 1000)))
         assert run("evaluate", sources_file, single, "--out", tmp_path / "r.txt") == 2
+
+
+PULSE = {"center": 50, "width": 5, "amplitude": 1.0}
+MAXIMUM = {"method": "maximum"}
+MC_CONFIG = {"preset": "disjoint", "noise_sd": [0.001], "n_runs": 1, "methods": [{"method": "pca"}]}
+
+BAD_CONFIGS = {
+    "gen-n_samples-text": ("gen", {"n_samples": "abc", "sources": [[PULSE]]}),
+    "gen-preset-n_samples-text": ("gen", {"preset": "disjoint", "n_samples": "abc"}),
+    "gen-preset-not-string": ("gen", {"preset": ["disjoint"]}),
+    "gen-sources-not-list": ("gen", {"n_samples": 100, "sources": 5}),
+    "gen-pulse-center-text": ("gen", {"n_samples": 100, "sources": [[{**PULSE, "center": "x"}]]}),
+    "gen-pulse-not-object": ("gen", {"n_samples": 100, "sources": [[5]]}),
+    "gen-noise_sd-text": ("gen", {"preset": "disjoint", "noise_sd": "loud"}),
+    "gen-mixing-text": ("gen", {"preset": "disjoint", "mixing": [["a", 1], [0, 1]]}),
+    "mc-n_runs-text": ("montecarlo", {**MC_CONFIG, "n_runs": "x"}),
+    "mc-base_seed-list": ("montecarlo", {**MC_CONFIG, "base_seed": [1]}),
+    "mc-noise_sd-text": ("montecarlo", {**MC_CONFIG, "noise_sd": ["x"]}),
+    "mc-order-text": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": ["a", 2]}]}),
+    "mc-order-number": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": 1}]}),
+    "mc-method-number": ("montecarlo", {**MC_CONFIG, "methods": [3]}),
+    "mc-fixture-number": ("montecarlo", {"fixture": 3, "noise_sd": [0.001], "methods": [MAXIMUM]}),
+}
+
+
+class TestExitCodeContract:
+    """Bad input ends in a documented exit code and a one-line message, never a traceback."""
+
+    @staticmethod
+    def assert_clean_error(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("phasemax: error: ")
+
+    @pytest.mark.parametrize("command, config", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(command, "--config", cfg, tmp_path / "out") == 2
+        self.assert_clean_error(capsys)
+
+    @pytest.mark.parametrize("order", ["a,b", "1,,2"])
+    def test_non_integer_order_exits_2(self, tmp_path, capsys, mixture_file, order):
+        args = ("--whiten", "gram-schmidt", "--order", order, tmp_path / "out.txt")
+        assert run("separate", mixture_file, *args) == 2
+        self.assert_clean_error(capsys)
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"preset": "disjoint\xff"}')
+        assert run("gen", "--config", cfg, tmp_path / "out") == 2
+        self.assert_clean_error(capsys)
+
+    @pytest.mark.parametrize("command", ["separate", "phase", "evaluate"])
+    def test_non_ascii_matrix_exits_3(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n3 \xff\n")
+        out = tmp_path / "out.txt"
+        args = (bad, bad, "--out", out) if command == "evaluate" else (bad, out)
+        assert run(command, *args) == 3
+        self.assert_clean_error(capsys)

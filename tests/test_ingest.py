@@ -74,6 +74,21 @@ class TestReadMatrixText:
             read_matrix_text(path)
         assert info.value.line == 2 and info.value.column == 2
 
+    def test_non_ascii_byte_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1 2\n" * 20000 + b"5 \xff\n")  # past any read buffer
+        with pytest.raises(ParseError) as info:
+            read_matrix_text(path)
+        assert info.value.line == 20001
+        assert "0xff" in str(info.value)
+
+    @pytest.mark.parametrize("max_samples", [0, -10])
+    def test_non_positive_max_samples_rejected(self, tmp_path, max_samples):
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n3 4\n")
+        with pytest.raises(OutOfBoundsError):
+            read_matrix_text(path, max_samples=max_samples)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2\n3 4 5\n")
@@ -229,6 +244,13 @@ class TestEdf:
         back = read_edf(path, max_samples=10)
         assert back.signal.n_samples == 10
 
+    @pytest.mark.parametrize("max_samples", [0, -10])
+    def test_non_positive_max_samples_rejected(self, tmp_path, max_samples):
+        path = tmp_path / "trunc.edf"
+        write_edf(path, synthetic_recording(2, 20))
+        with pytest.raises(OutOfBoundsError):
+            read_edf(path, max_samples=max_samples)
+
     def test_header_fields(self, tmp_path):
         rec = synthetic_recording(2, 64, rate=32.0)
         path = tmp_path / "hdr.edf"
@@ -305,6 +327,18 @@ class TestEdfMalformed:
         with pytest.raises(MalformedHeaderError) as info:
             read_edf(path)
         assert info.value.field == "digital_range"
+
+    @pytest.mark.parametrize(
+        "duration", [b"0       ", b"-1      ", b"nan     "], ids=["zero", "negative", "nan"]
+    )
+    def test_non_positive_record_duration(self, tmp_path, duration):
+        raw = valid_edf_bytes(tmp_path)
+        raw[244:252] = duration
+        path = tmp_path / "bad.edf"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedHeaderError) as info:
+            read_edf(path)
+        assert info.value.field == "record_duration"
 
     def test_truncated_data_records(self, tmp_path):
         raw = valid_edf_bytes(tmp_path)

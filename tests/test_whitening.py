@@ -89,6 +89,23 @@ class TestPcaWhitening:
         with pytest.raises(DegenerateInputError):
             whiten_pca(MultichannelSignal(np.vstack([x, 3 * x])))
 
+    @staticmethod
+    def conditioned(ratio):
+        """Two orthogonal channels mixed by a rotation: eigenvalue ratio ``ratio``."""
+        data = np.zeros((2, 4))
+        data[0, 0] = 1.0
+        data[1, 2] = np.sqrt(ratio)
+        c, s = np.cos(0.3), np.sin(0.3)
+        return MultichannelSignal(np.array([[c, -s], [s, c]]) @ data)
+
+    def test_nearly_rank_deficient_raises(self):
+        with pytest.raises(DegenerateInputError):
+            whiten_pca(self.conditioned(1e-14))
+
+    def test_ill_conditioned_but_full_rank_whitens(self):
+        white, _ = whiten_pca(self.conditioned(1e-8))
+        np.testing.assert_allclose(sample_gram(white), np.eye(2), atol=1e-9)
+
 
 class TestWhiteningProperties:
     @pytest.mark.parametrize("method", ["gram_schmidt", "pca"])
