@@ -72,6 +72,13 @@ def _typed(kind, value, context: str):
         raise InvalidSpecError(f"{context}: {value!r} is not a valid {kind.__name__}") from None
 
 
+def _integer(value, context: str) -> int:
+    """An integer field: whole numbers only, so ``2.7`` or ``true`` is not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidSpecError(f"{context}: {value!r} is not a valid int")
+    return _typed(int, value, context)
+
+
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -104,7 +111,7 @@ def _fixture_from_json(obj, context: str = "fixture") -> signals.PulseTrainSpec:
                 for k, p in enumerate(_typed(tuple, train, f"{context}: source {j}"), start=1)
             )
         )
-    n_samples = _typed(int, obj["n_samples"], f"{context}: n_samples")
+    n_samples = _integer(obj["n_samples"], f"{context}: n_samples")
     return signals.PulseTrainSpec(n_samples, tuple(sources))
 
 
@@ -112,7 +119,7 @@ def _preset_from_json(obj) -> signals.PulseTrainSpec:
     name = obj["preset"]
     if not isinstance(name, str) or name not in PRESETS:
         raise InvalidSpecError(f"config: unknown preset {name!r}; expected {sorted(PRESETS)}")
-    return PRESETS[name](_typed(int, obj.get("n_samples", 1000), "config: n_samples"))
+    return PRESETS[name](_integer(obj.get("n_samples", 1000), "config: n_samples"))
 
 
 def _gen_config(obj) -> tuple:
@@ -147,7 +154,7 @@ def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
     order = None
     if "order" in obj:
         items = _typed(tuple, obj["order"], f"{context}: order")
-        order = tuple(_typed(int, i, f"{context}: order") for i in items)
+        order = tuple(_integer(i, f"{context}: order") for i in items)
     return evaluation.MethodSpec(
         name=str(obj["method"]),
         whitening=str(obj.get("whitening", "gram_schmidt")),
@@ -175,8 +182,8 @@ def _montecarlo_config(obj) -> evaluation.MonteCarloConfig:
     return evaluation.MonteCarloConfig(
         fixture=fixture,
         noise_sds=tuple(_typed(float, s, "config: noise_sd") for s in sds),
-        n_runs=_typed(int, obj.get("n_runs", 200), "config: n_runs"),
-        base_seed=_typed(int, obj.get("base_seed", 0), "config: base_seed"),
+        n_runs=_integer(obj.get("n_runs", 200), "config: n_runs"),
+        base_seed=_integer(obj.get("base_seed", 0), "config: base_seed"),
         methods=tuple(
             _method_from_json(m, f"config: methods[{k}]") for k, m in enumerate(methods)
         ),
@@ -286,7 +293,7 @@ def _cmd_separate(args) -> int:
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     if args.center:
         signal = signals.center(signal)
-    order = tuple(_typed(int, i, "--order") for i in args.order.split(",")) if args.order else None
+    order = tuple(_integer(i, "--order") for i in args.order.split(",")) if args.order else None
 
     if args.method == "max":
         result = separation.separate_maximum(signal, whitening=args.whiten, order=order)

@@ -32,6 +32,10 @@ from .signals import (
     mix,
 )
 
+# Samples per block of the correlation pass: big enough for matrix
+# products to dominate, small enough that the centred blocks stay small.
+_CORRELATION_BLOCK = 4096
+
 
 def normalize_unit(series) -> np.ndarray:
     """Rescale a series to unit sample norm (sum of squares = 1)."""
@@ -70,22 +74,47 @@ class AssociationReport:
     correlation_matrix: np.ndarray
 
 
+def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlations of every row of ``x`` with every row of ``y``.
+
+    Entry ``[i, j]`` is ``pearson(x[i], y[j])`` to rounding.  One pass
+    over fixed-size sample blocks centres each block and accumulates the
+    cross products and centred norms, so no centred copy of a whole
+    matrix is made.
+    """
+    if x.shape[1] != y.shape[1]:
+        raise DimensionMismatchError(
+            f"series lengths differ: {x.shape[1]} vs {y.shape[1]} samples"
+        )
+    x_mean = x.mean(axis=1, keepdims=True)
+    y_mean = y.mean(axis=1, keepdims=True)
+    cross = np.zeros((len(x), len(y)))
+    x_sq = np.zeros(len(x))
+    y_sq = np.zeros(len(y))
+    for start in range(0, x.shape[1], _CORRELATION_BLOCK):
+        xc = x[:, start : start + _CORRELATION_BLOCK] - x_mean
+        yc = y[:, start : start + _CORRELATION_BLOCK] - y_mean
+        cross += xc @ yc.T
+        x_sq += (xc**2).sum(axis=1)
+        y_sq += (yc**2).sum(axis=1)
+    if np.any(x_sq == 0.0) or np.any(y_sq == 0.0):
+        raise ZeroVarianceError("correlation undefined for a zero-variance series")
+    return np.clip(cross / np.outer(np.sqrt(x_sq), np.sqrt(y_sq)), -1.0, 1.0)
+
+
 def associate(truth: MultichannelSignal, estimates: MultichannelSignal) -> AssociationReport:
     """Pair estimates with sources greedily by absolute correlation.
 
     The largest unmatched absolute correlation is paired first; exact
     ties go to the lowest (source, estimate) index pair.  Requires equal
-    channel counts and nonzero variance everywhere.
+    channel and sample counts and nonzero variance everywhere.
     """
     if truth.n_channels != estimates.n_channels:
         raise DimensionMismatchError(
             f"{truth.n_channels} sources vs {estimates.n_channels} estimates"
         )
     n = truth.n_channels
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            matrix[i, j] = pearson(truth.data[i], estimates.data[j])
+    matrix = _correlation_matrix(truth.data, estimates.data)
 
     candidates = sorted(
         ((i, j) for i in range(n) for j in range(n)),

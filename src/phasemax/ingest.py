@@ -22,6 +22,7 @@ exporter.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,21 +426,21 @@ def read_edf(path, channels=None, max_samples: int | None = None) -> Recording:
 
         samples_per_record = sum(header.samples_per_record)
         record_bytes = 2 * samples_per_record
-        payload = fh.read()
+        available = os.fstat(fh.fileno()).st_size - header.header_bytes
+        n_records = header.n_records
+        if n_records == -1:  # unknown; infer from the file size
+            n_records = available // record_bytes
+        if n_records < 1:
+            raise TruncatedDataError("file contains no complete data record")
+        if available < n_records * record_bytes:
+            raise TruncatedDataError(
+                f"expected {n_records * record_bytes} data bytes, found {available}"
+            )
+        if max_samples is not None:  # only the records that hold the wanted samples
+            n_records = min(n_records, -(-max_samples // header.samples_per_record[indices[0]]))
+        payload = fh.read(n_records * record_bytes)
 
-    n_records = header.n_records
-    if n_records == -1:  # unknown; infer from the file size
-        n_records = len(payload) // record_bytes
-    if n_records < 1:
-        raise TruncatedDataError("file contains no complete data record")
-    if len(payload) < n_records * record_bytes:
-        raise TruncatedDataError(
-            f"expected {n_records * record_bytes} data bytes, found {len(payload)}"
-        )
-
-    table = np.frombuffer(
-        payload[: n_records * record_bytes], dtype="<i2"
-    ).reshape(n_records, samples_per_record)
+    table = np.frombuffer(payload, dtype="<i2").reshape(n_records, samples_per_record)
     offsets = np.concatenate(([0], np.cumsum(header.samples_per_record)))
 
     out = []

@@ -8,6 +8,14 @@ estimates the source series; subtracting the rank-1 contribution
 (deflation) removes it, leaving a trajectory confined to the orthogonal
 complement.  Iterating extracts one source per step.
 
+``separate_maximum`` deflates implicitly.  Each deflated residual is
+orthogonal to every direction found so far, so the k-th series is just
+``d_k . z`` on the whitened data and the squared radii are updated in
+place as ``r2 -= s_k**2``; only the winning sample's residual is
+rebuilt, exactly, to give the next direction.  ``find_maximum_direction``,
+``project_source`` and ``deflate`` spell out the explicit steps and are
+the reference that the implicit loop is tested against.
+
 On whitened data the directions of sources with zero sample
 cross-product are orthogonal, so each projection is a clean scaled copy
 of one source.  Without whitening the first projection picks up a
@@ -73,7 +81,10 @@ class SeparationResult:
 
     ``residual_energy`` has one entry per deflation boundary: the total
     sum of squares of the working data before the first extraction and
-    after each one; it is non-increasing.
+    after each one; it is non-increasing.  After the first entry it is
+    the sum of the squared radii updated in place (``r2 -= s_k**2``,
+    clamped at 0), which equals the explicitly deflated residual's sum
+    of squares to rounding.
     """
 
     estimates: tuple
@@ -189,15 +200,26 @@ def separate_maximum(
         raise ZeroSignalError("cannot separate an identically zero signal")
 
     work, transform = apply_whitening(signal, whitening, order)
-    initial = float((work.data**2).sum())
+    z = work.data
+    r2 = (z**2).sum(axis=0)  # squared radii of the deflated trajectory
+    initial = float(r2.sum())
     energies = [initial]
     estimates = []
     while len(estimates) < max_sources and energies[-1] > energy_floor * initial:
-        found = find_maximum_direction(work)
-        series = project_source(work, found)
-        work = deflate(work, found, series)
-        estimates.append(
-            SourceEstimate(found.direction, series, found.argmax_index, found.radius)
-        )
-        energies.append(float((work.data**2).sum()))
+        idx = int(np.argmax(r2))  # first occurrence on ties
+        # The winner's residual, rebuilt exactly from z rather than from
+        # r2, which has lost digits to cancellation.
+        column = z[:, idx].copy()
+        for earlier in estimates:
+            column -= (earlier.direction @ column) * earlier.direction
+        radius = float(np.sqrt((column**2).sum()))
+        if radius < _ZERO_RADIUS:
+            raise ZeroSignalError("residual is identically zero; no direction exists")
+        direction = column / radius
+        series = direction @ z
+        r2 -= series**2
+        np.maximum(r2, 0.0, out=r2)  # rounding leaves fully explained samples just below 0
+        r2[idx] = 0.0
+        estimates.append(SourceEstimate(direction, series, idx, radius))
+        energies.append(float(r2.sum()))
     return SeparationResult(tuple(estimates), np.array(energies), "maximum", transform)

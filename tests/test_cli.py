@@ -410,6 +410,14 @@ BAD_CONFIGS = {
     "mc-order-text": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": ["a", 2]}]}),
     "mc-order-number": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": 1}]}),
     "mc-method-number": ("montecarlo", {**MC_CONFIG, "methods": [3]}),
+    "gen-n_samples-float": ("gen", {"n_samples": 100.5, "sources": [[PULSE]]}),
+    "gen-preset-n_samples-bool": ("gen", {"preset": "disjoint", "n_samples": True}),
+    "mc-n_runs-float": ("montecarlo", {**MC_CONFIG, "n_runs": 2.7}),
+    "mc-n_runs-bool": ("montecarlo", {**MC_CONFIG, "n_runs": True}),
+    "mc-base_seed-bool": ("montecarlo", {**MC_CONFIG, "base_seed": True}),
+    "mc-base_seed-float": ("montecarlo", {**MC_CONFIG, "base_seed": 1.5}),
+    "mc-order-float": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1.5, 2]}]}),
+    "mc-order-bool": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [True, 2]}]}),
     "mc-fixture-number": ("montecarlo", {"fixture": 3, "noise_sd": [0.001], "methods": [MAXIMUM]}),
 }
 
@@ -430,7 +438,7 @@ class TestExitCodeContract:
         assert run(command, "--config", cfg, tmp_path / "out") == 2
         self.assert_clean_error(capsys)
 
-    @pytest.mark.parametrize("order", ["a,b", "1,,2"])
+    @pytest.mark.parametrize("order", ["a,b", "1,,2", "1.5,2", "True,2"])
     def test_non_integer_order_exits_2(self, tmp_path, capsys, mixture_file, order):
         args = ("--whiten", "gram-schmidt", "--order", order, tmp_path / "out.txt")
         assert run("separate", mixture_file, *args) == 2

@@ -167,6 +167,28 @@ class TestAssociate:
             round(r, 12) for *_, r in relabeled.pairs
         )
 
+    @pytest.mark.parametrize("n, m", [(3, 50), (5, 4096), (4, 10_001)])
+    def test_matrix_matches_per_pair_pearson(self, n, m):
+        # lengths below, at and across the block size of the correlation pass
+        rng = np.random.default_rng(84)
+        truth = MultichannelSignal(rng.normal(size=(n, m)) + 3.0)
+        estimates = MultichannelSignal(rng.normal(size=(n, n)) @ truth.data - 1.0)
+        matrix = associate(truth, estimates).correlation_matrix
+        oracle = [[pearson(x, y) for y in estimates.data] for x in truth.data]
+        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-12)
+
+    def test_zero_variance_raises(self):
+        truth = MultichannelSignal(np.random.default_rng(85).normal(size=(2, 30)))
+        estimates = MultichannelSignal(np.vstack([truth.data[0], np.full(30, 2.5)]))
+        with pytest.raises(ZeroVarianceError):
+            associate(truth, estimates)
+
+    def test_sample_count_mismatch(self):
+        a = MultichannelSignal(np.random.default_rng(86).normal(size=(2, 30)))
+        b = MultichannelSignal(np.random.default_rng(87).normal(size=(2, 31)))
+        with pytest.raises(DimensionMismatchError):
+            associate(a, b)
+
     def test_channel_count_mismatch(self):
         a = MultichannelSignal(np.random.default_rng(81).normal(size=(2, 30)))
         b = MultichannelSignal(np.random.default_rng(82).normal(size=(3, 30)))

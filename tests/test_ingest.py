@@ -82,6 +82,14 @@ class TestReadMatrixText:
         assert info.value.line == 20001
         assert "0xff" in str(info.value)
 
+    @pytest.mark.parametrize("max_samples", [1, 15, 16, 17, 95, 96, 500])
+    def test_max_samples_equals_slice_of_full_read(self, tmp_path, max_samples):
+        path = tmp_path / "multi.edf"
+        write_edf(path, synthetic_recording(3, 96, rate=16.0), samples_per_record=16)
+        full = read_edf(path, channels=[3, 1]).signal.data
+        part = read_edf(path, channels=[3, 1], max_samples=max_samples).signal.data
+        np.testing.assert_array_equal(part, full[:, :max_samples])
+
     @pytest.mark.parametrize("max_samples", [0, -10])
     def test_non_positive_max_samples_rejected(self, tmp_path, max_samples):
         path = tmp_path / "m.txt"
@@ -244,6 +252,14 @@ class TestEdf:
         back = read_edf(path, max_samples=10)
         assert back.signal.n_samples == 10
 
+    @pytest.mark.parametrize("max_samples", [1, 15, 16, 17, 95, 96, 500])
+    def test_max_samples_equals_slice_of_full_read(self, tmp_path, max_samples):
+        path = tmp_path / "multi.edf"
+        write_edf(path, synthetic_recording(3, 96, rate=16.0), samples_per_record=16)
+        full = read_edf(path, channels=[3, 1]).signal.data
+        part = read_edf(path, channels=[3, 1], max_samples=max_samples).signal.data
+        np.testing.assert_array_equal(part, full[:, :max_samples])
+
     @pytest.mark.parametrize("max_samples", [0, -10])
     def test_non_positive_max_samples_rejected(self, tmp_path, max_samples):
         path = tmp_path / "trunc.edf"
@@ -346,6 +362,25 @@ class TestEdfMalformed:
         path.write_bytes(bytes(raw[:-10]))
         with pytest.raises(TruncatedDataError):
             read_edf(path)
+
+    def test_truncated_after_wanted_records(self, tmp_path):
+        # the first record is complete, the last one is cut short: a read
+        # limited to the first record still reports the damaged file
+        path = tmp_path / "multi.edf"
+        write_edf(path, synthetic_recording(2, 64), samples_per_record=16)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(TruncatedDataError):
+            read_edf(path, max_samples=5)
+
+    def test_unknown_record_count_with_max_samples(self, tmp_path):
+        path = tmp_path / "multi.edf"
+        write_edf(path, synthetic_recording(2, 64), samples_per_record=16)
+        raw = bytearray(path.read_bytes())
+        raw[236:244] = b"-1      "
+        path.write_bytes(bytes(raw[:-10]))  # 3 whole records and a partial one
+        assert read_edf(path).signal.n_samples == 48
+        assert read_edf(path, max_samples=40).signal.n_samples == 40
+        assert read_edf(path, max_samples=60).signal.n_samples == 48
 
     def test_discontinuous_edfplus_rejected(self, tmp_path):
         raw = valid_edf_bytes(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 
 from phasemax.errors import DimensionMismatchError, ZeroSignalError
 from phasemax.separation import (
+    DEFAULT_ENERGY_FLOOR,
     DirectionEstimate,
     deflate,
     find_maximum_direction,
@@ -15,12 +16,13 @@ from phasemax.signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
     MultichannelSignal,
+    coincident_peaks_spec,
     correlated_sources_spec,
     disjoint_sources_spec,
     generate_sources,
     mix,
 )
-from phasemax.whitening import whiten_gram_schmidt
+from phasemax.whitening import apply_whitening, whiten_gram_schmidt
 
 
 @pytest.fixture
@@ -255,3 +257,88 @@ class TestSeparationProperties:
         result = separate_maximum(oblique_mixture, whitening="gram_schmidt")
         assert result.residual_energy.shape == (len(result.estimates) + 1,)
         assert np.all(np.diff(result.residual_energy) <= 0)
+
+
+def explicit_deflation(signal, whitening):
+    """The reference loop: find the maximum, project, deflate the whole residual."""
+    work, _ = apply_whitening(signal, whitening)
+    energies = [float((work.data**2).sum())]
+    found_list, series_list = [], []
+    floor = DEFAULT_ENERGY_FLOOR * energies[0]
+    while len(found_list) < signal.n_channels and energies[-1] > floor:
+        found = find_maximum_direction(work)
+        series = project_source(work, found)
+        work = deflate(work, found, series)
+        found_list.append(found)
+        series_list.append(series)
+        energies.append(float((work.data**2).sum()))
+    return found_list, series_list, np.array(energies)
+
+
+def c3_random_trials():
+    rng = np.random.default_rng(20260808)  # the trials of acceptance criterion C3
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(30, 120))
+        yield MultichannelSignal(rng.normal(size=(n, m)))
+
+
+def sparse_mixture(seed, n, m, slot):
+    """n sources with disjoint support, one pulse per slot, mixed at random."""
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(n, size=m // slot)
+    owner[:n] = rng.permutation(n)
+    t = np.arange(slot)
+    data = np.zeros((n, m))
+    for k, i in enumerate(owner):
+        data[i, k * slot : (k + 1) * slot] = rng.uniform(0.5, 1.5) * np.exp(
+            -0.5 * ((t - slot / 2) / (slot / 10)) ** 2
+        )
+    return MultichannelSignal(rng.normal(size=(n, n)) @ data)
+
+
+class TestImplicitDeflation:
+    """``separate_maximum`` against the explicit find/project/deflate loop."""
+
+    @staticmethod
+    def assert_matches_reference(signal, whitening):
+        found, series, energies = explicit_deflation(signal, whitening)
+        result = separate_maximum(signal, whitening=whitening)
+        assert [e.argmax_index for e in result.estimates] == [f.argmax_index for f in found]
+        for est, f, s in zip(result.estimates, found, series):
+            np.testing.assert_allclose(est.series, s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(est.direction, f.direction, rtol=0, atol=1e-12)
+            assert est.radius == pytest.approx(f.radius, rel=1e-12)
+        np.testing.assert_allclose(
+            result.residual_energy, energies, rtol=0, atol=1e-12 * energies[0]
+        )
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
+    def test_c3_random_trials(self, whitening):
+        for signal in c3_random_trials():
+            self.assert_matches_reference(signal, whitening)
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
+    @pytest.mark.parametrize(
+        "spec, mixing",
+        [(disjoint_sources_spec, OBLIQUE_MIXING), (coincident_peaks_spec, DOMINANT_MIXING)],
+        ids=["disjoint", "coincident"],
+    )
+    def test_fixtures(self, spec, mixing, whitening):
+        self.assert_matches_reference(mix(generate_sources(spec()), mixing), whitening)
+
+    def test_duplicate_columns_earliest_sample_wins(self):
+        data = np.zeros((3, 10))
+        data[:, [2, 7]] = [[3.0], [4.0], [0.0]]
+        data[:, [4, 5]] = [[0.0], [0.0], [2.0]]
+        data[:, 8] = [1.0, -1.0, 0.5]
+        result = separate_maximum(MultichannelSignal(data), whitening="none")
+        assert [e.argmax_index for e in result.estimates][:2] == [2, 4]
+
+    @pytest.mark.parametrize("whitening", ["none", "pca"])
+    def test_residual_energy_never_negative_on_32_sparse_channels(self, whitening):
+        signal = sparse_mixture(58, 32, 20_000, 50)
+        result = separate_maximum(signal, whitening=whitening)
+        assert len(result.estimates) == 32
+        assert np.all(result.residual_energy >= 0.0)
+        assert np.all(np.diff(result.residual_energy) <= 0.0)
