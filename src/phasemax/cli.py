@@ -284,9 +284,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_signal(path, delimiter=None, skip_columns=0) -> signals.MultichannelSignal:
-    rec = ingest.read_matrix_text(path, delimiter=delimiter, skip_columns=skip_columns)
-    return rec.signal
+def _read_signal(path, skip_columns=0) -> signals.MultichannelSignal:
+    return ingest.read_matrix_text(path, skip_columns=skip_columns).signal
 
 
 def _cmd_separate(args) -> int:
@@ -321,17 +320,13 @@ def _cmd_separate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     cfg = _montecarlo_config(_load_json(args.config))
     reports = evaluation.monte_carlo_rms(cfg)
-    n_sources = cfg.fixture.n_sources
-    header = ["sample"]
-    columns = []
-    for rep in reports:
-        for src in range(n_sources):
-            header.append(f"{rep.method}_sd{rep.noise_sd:g}_src{src + 1}")
-            columns.append(rep.rms[src])
-    lines = [",".join(header)]
-    for n in range(cfg.fixture.n_samples):
-        lines.append(",".join([str(n)] + [_fmt(col[n]) for col in columns]))
-    _write_lines(args.out, lines)
+    header = ["sample"] + [
+        f"{rep.method}_sd{rep.noise_sd:g}_src{src + 1}"
+        for rep in reports
+        for src in range(cfg.fixture.n_sources)
+    ]
+    table = np.vstack([np.arange(cfg.fixture.n_samples)] + [rep.rms for rep in reports])
+    ingest.write_matrix_text(args.out, table, labels=header, delimiter=",")
     return 0
 
 
@@ -340,14 +335,9 @@ def _cmd_phase(args) -> int:
     r = separation.radius_series(signal)
     n_max = separation.find_maximum_direction(signal).argmax_index
     header = ["index"] + [f"z{i + 1}" for i in range(signal.n_channels)] + ["r", "is_max"]
-    lines = [" ".join(header)]
-    for n in range(signal.n_samples):
-        row = [str(n)]
-        row += [_fmt(v) for v in signal.data[:, n]]
-        row.append(_fmt(r[n]))
-        row.append("1" if n == n_max else "0")
-        lines.append(" ".join(row))
-    _write_lines(args.out, lines)
+    index = np.arange(signal.n_samples)
+    table = np.vstack([index, signal.data, r, index == n_max])
+    ingest.write_matrix_text(args.out, table, labels=header)
     return 0
 
 

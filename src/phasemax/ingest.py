@@ -38,6 +38,7 @@ from .errors import (
 from .signals import MultichannelSignal
 
 _ANNOTATION_LABEL = "EDF Annotations"
+_NUMBER_FORMAT = "%.17g"  # round-trips float64; integral values below 1e17 print as integers
 
 
 @dataclass(frozen=True)
@@ -195,17 +196,19 @@ def read_matrix_text(
 
 def format_number(x: float) -> str:
     """Locale-independent decimal text that round-trips float64."""
-    return format(float(x), ".17g")
+    return _NUMBER_FORMAT % float(x)
 
 
 def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
-    """Write channels-as-columns numeric text, optionally with a header."""
+    """Write channels-as-columns 17-digit text, optionally with a header.
+
+    A 1-D array is one channel and reads back as a 1 x M matrix.
+    """
     arr = data.data if isinstance(data, MultichannelSignal) else np.asarray(data, dtype=float)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if labels is not None:
             fh.write(delimiter.join(str(l) for l in labels) + "\n")
-        for row in arr.T:
-            fh.write(delimiter.join(format_number(v) for v in row) + "\n")
+        np.savetxt(fh, arr.T, fmt=_NUMBER_FORMAT, delimiter=delimiter)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, ZeroSignalError
+from .errors import DimensionMismatchError, InvalidSpecError, NonFiniteError, ZeroSignalError
 from .signals import MultichannelSignal
 from .whitening import WhiteningTransform, apply_whitening
 
@@ -164,7 +164,6 @@ def separate_maximum(
     whitening: str = "gram_schmidt",
     order=None,
     max_sources: int | None = None,
-    energy_floor: float = DEFAULT_ENERGY_FLOOR,
 ) -> SeparationResult:
     """Extract sources by iterating maximum detection and deflation.
 
@@ -179,15 +178,16 @@ def separate_maximum(
     order : sequence of int, optional
         1-based channel order for Gram-Schmidt whitening.
     max_sources : int, optional
-        Iteration cap; defaults to the channel count.
-    energy_floor : float
-        Stop once the residual energy falls below this fraction of the
-        initial energy.
+        Iteration cap; defaults to the channel count.  Extraction also
+        stops once the residual energy falls below
+        ``DEFAULT_ENERGY_FLOOR`` times the initial energy.
 
     Raises
     ------
     ZeroSignalError
         If the input is identically zero.
+    NonFiniteError
+        If the energy of the (whitened) data overflows to infinity.
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
@@ -203,9 +203,11 @@ def separate_maximum(
     z = work.data
     r2 = (z**2).sum(axis=0)  # squared radii of the deflated trajectory
     initial = float(r2.sum())
+    if not np.isfinite(initial):
+        raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
     estimates = []
-    while len(estimates) < max_sources and energies[-1] > energy_floor * initial:
+    while len(estimates) < max_sources and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
         idx = int(np.argmax(r2))  # first occurrence on ties
         # The winner's residual, rebuilt exactly from z rather than from
         # r2, which has lost digits to cancellation.

@@ -111,6 +111,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not np.isfinite(self.sd) or self.sd < 0:
             raise InvalidSpecError(f"noise sd must be >= 0, got {self.sd}")
+        if self.seed < 0:  # PCG64 seeds are non-negative
+            raise InvalidSpecError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def generate_sources(spec: PulseTrainSpec) -> MultichannelSignal:

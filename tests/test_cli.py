@@ -250,6 +250,21 @@ class TestMonteCarlo:
             group = [c for c in header if f"_sd{sd}_" in c]
             assert len(group) == 4  # 2 methods x 2 sources per noise level
 
+    def test_sample_column_is_integral_and_rms_is_17_digit_text(self, tmp_path):
+        from phasemax.cli import _montecarlo_config
+        from phasemax.evaluation import monte_carlo_rms
+
+        cfg = montecarlo_config(tmp_path, n_runs=2)
+        out = tmp_path / "rms.csv"
+        assert run("montecarlo", "--config", cfg, out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(n) for n in range(len(rows))]
+        reports = monte_carlo_rms(_montecarlo_config(json.loads(cfg.read_text())))
+        expected = np.vstack([rep.rms for rep in reports])
+        assert [row[1:] for row in rows] == [
+            [format(float(v), ".17g") for v in column] for column in expected.T
+        ]
+
     def test_shipped_config_is_valid(self):
         from phasemax.cli import _load_json, _montecarlo_config
 
@@ -289,6 +304,19 @@ class TestPhase:
         r = radius_series(signal)
         for n in (0, 300, 999):
             assert float(rows[n][3]) == pytest.approx(r[n], rel=1e-15)
+
+    def test_index_and_flag_are_integral_and_values_17_digit_text(self, tmp_path, mixture_file):
+        out = tmp_path / "phase.txt"
+        assert run("phase", mixture_file, out) == 0
+        rows = [line.split(" ") for line in out.read_text().splitlines()[1:]]
+        signal = read_matrix_text(mixture_file).signal
+        n_max = int(np.argmax(radius_series(signal)))
+        assert [row[0] for row in rows] == [str(n) for n in range(signal.n_samples)]
+        assert [row[-1] for row in rows] == ["1" if n == n_max else "0" for n in range(len(rows))]
+        values = np.vstack([signal.data, radius_series(signal)])
+        assert [row[1:-1] for row in rows] == [
+            [format(float(v), ".17g") for v in column] for column in values.T
+        ]
 
     def test_round_trips_radius_exactly(self, tmp_path, mixture_file):
         out = tmp_path / "phase.txt"
@@ -418,6 +446,7 @@ BAD_CONFIGS = {
     "mc-base_seed-float": ("montecarlo", {**MC_CONFIG, "base_seed": 1.5}),
     "mc-order-float": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1.5, 2]}]}),
     "mc-order-bool": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [True, 2]}]}),
+    "mc-base_seed-negative": ("montecarlo", {**MC_CONFIG, "base_seed": -3}),
     "mc-fixture-number": ("montecarlo", {"fixture": 3, "noise_sd": [0.001], "methods": [MAXIMUM]}),
 }
 
@@ -448,6 +477,18 @@ class TestExitCodeContract:
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"preset": "disjoint\xff"}')
         assert run("gen", "--config", cfg, tmp_path / "out") == 2
+        self.assert_clean_error(capsys)
+
+    def test_overflowing_energy_exits_4(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("1e200 1\n1 1e200\n3 2\n")  # finite, but the squared radii overflow
+        with np.errstate(over="ignore"):
+            assert run("separate", big, tmp_path / "out.txt") == 4
+        self.assert_clean_error(capsys)
+
+    def test_negative_noise_seed_exits_2(self, tmp_path, capsys):
+        args = ("--preset", "disjoint", "--noise-sd", "0.1", "--seed", "-1", tmp_path / "out.txt")
+        assert run("gen", *args) == 2
         self.assert_clean_error(capsys)
 
     @pytest.mark.parametrize("command", ["separate", "phase", "evaluate"])

@@ -129,6 +129,42 @@ class TestReadMatrixText:
         np.testing.assert_array_equal(rec.signal.data, [[1.5, 2.5]])
 
 
+# Values whose text is easy to get wrong: signed zero, the smallest
+# subnormal, the edge of the range, inexact decimals, integral values.
+AWKWARD = np.array(
+    [[-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0], [0.0, 17.0, -1e308, 2.0**53, -4.0]]
+)
+
+
+def oracle_lines(data, labels=None, delimiter=" "):
+    """The table written one value at a time, as ``format(v, ".17g")``."""
+    header = [] if labels is None else [delimiter.join(labels)]
+    rows = [delimiter.join(format(float(v), ".17g") for v in row) for row in np.asarray(data).T]
+    return "".join(line + "\n" for line in header + rows)
+
+
+class TestWriteMatrixText:
+    @pytest.mark.parametrize("labels", [None, ["a", "b"]])
+    @pytest.mark.parametrize("delimiter", [" ", ","])
+    def test_matches_per_value_oracle(self, tmp_path, labels, delimiter):
+        path = tmp_path / "awkward.txt"
+        write_matrix_text(path, AWKWARD, labels=labels, delimiter=delimiter)
+        assert path.read_bytes() == oracle_lines(AWKWARD, labels, delimiter).encode("ascii")
+
+    def test_awkward_values_round_trip_exactly(self, tmp_path):
+        path = tmp_path / "awkward.txt"
+        write_matrix_text(path, AWKWARD)
+        back = read_matrix_text(path).signal.data
+        np.testing.assert_array_equal(back, AWKWARD)
+        assert np.signbit(back[0, 0]) and not np.signbit(back[1, 0])
+
+    def test_one_dimensional_input_is_one_channel(self, tmp_path):
+        path = tmp_path / "one.txt"
+        write_matrix_text(path, np.array([1.5, -2.0, 0.25]))
+        assert path.read_text() == "1.5\n-2\n0.25\n"
+        np.testing.assert_array_equal(read_matrix_text(path).signal.data, [[1.5, -2.0, 0.25]])
+
+
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------

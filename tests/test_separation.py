@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasemax.errors import DimensionMismatchError, ZeroSignalError
+from phasemax.errors import DimensionMismatchError, NonFiniteError, ZeroSignalError
 from phasemax.separation import (
     DEFAULT_ENERGY_FLOOR,
     DirectionEstimate,
@@ -196,6 +196,12 @@ class TestSeparateMaximum:
     def test_zero_signal_raises(self):
         with pytest.raises(ZeroSignalError):
             separate_maximum(MultichannelSignal(np.zeros((2, 10))), whitening="none")
+
+    def test_overflowing_energy_raises(self):
+        # finite samples whose squared radii overflow to inf
+        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            separate_maximum(big, whitening="none")
 
     def test_max_sources_caps_iterations(self, oblique_mixture):
         result = separate_maximum(oblique_mixture, whitening="none", max_sources=1)

@@ -130,6 +130,10 @@ class TestAddNoise:
         out = add_noise(src, NoiseSpec(0.0, 42))
         np.testing.assert_array_equal(out.data, src.data)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpecError, match="seed"):
+            NoiseSpec(0.01, -1)
+
     def test_sample_variance_near_nominal(self):
         src = MultichannelSignal(np.zeros((2, 1000)))
         sd = 0.001
