@@ -433,7 +433,9 @@ def main(argv=None) -> int:
         # --whiten uses a dash on the command line, modules use a underscore
         if getattr(args, "whiten", None) is not None:
             args.whiten = args.whiten.replace("-", "_")
-        return args.func(args)
+        # overflow is reported as one NonFiniteError line, not numpy warnings first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (InvalidSpecError, DimensionMismatchError, OutOfBoundsError) as exc:
         print(f"phasemax: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidSpecError,
+    NonFiniteError,
     ZeroSeriesError,
     ZeroVarianceError,
 )
@@ -80,7 +81,7 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Entry ``[i, j]`` is ``pearson(x[i], y[j])`` to rounding.  One pass
     over fixed-size sample blocks centres each block and accumulates the
     cross products and centred norms, so no centred copy of a whole
-    matrix is made.
+    matrix is made.  Raises ``NonFiniteError`` if those sums overflow.
     """
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(
@@ -97,6 +98,8 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cross += xc @ yc.T
         x_sq += (xc**2).sum(axis=1)
         y_sq += (yc**2).sum(axis=1)
+    if not (np.isfinite(cross).all() and np.isfinite(x_sq).all() and np.isfinite(y_sq).all()):
+        raise NonFiniteError("correlation sums overflow float64; rescale the input")
     if np.any(x_sq == 0.0) or np.any(y_sq == 0.0):
         raise ZeroVarianceError("correlation undefined for a zero-variance series")
     return np.clip(cross / np.outer(np.sqrt(x_sq), np.sqrt(y_sq)), -1.0, 1.0)

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     MalformedHeaderError,
     OutOfBoundsError,
     ParseError,
@@ -95,11 +97,55 @@ def select(rec: Recording, channels, sample_range=None) -> Recording:
 # Delimited text matrices
 # ---------------------------------------------------------------------------
 
+# Bytes that keep a file away from np.loadtxt: anything non-ASCII, and
+# the line breaks str.splitlines honours but loadtxt does not (with a
+# form feed it would silently merge two rows into one).
+_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_SCAN_BLOCK = 1 << 20
+_WRITE_BLOCK = 32768  # values per formatting call: 4096 rows of 8 channels
+
 
 def _tokenize(line, delimiter):
     if delimiter is None:
         return line.split()
     return [tok.strip() for tok in line.split(delimiter)]
+
+
+def _needs_token_loop(path) -> bool:
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BLOCK):
+            if not block.isascii() or any(b in block for b in _LINE_BREAKS):
+                return True
+    return False
+
+
+def _header(path, delimiter):
+    """Labels of a header row (None if the first row is numeric) and lines to skip."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = _tokenize(line, delimiter)
+            if not tokens or all(t == "" for t in tokens):
+                continue
+            try:
+                list(map(float, tokens))
+            except ValueError:
+                return tokens, lineno
+            return None, 0
+    return None, 0
+
+
+def _recording(columns, labels, skip_columns) -> Recording:
+    """Channels ``columns[skip_columns:]`` with their labels, or ch1..chN."""
+    width = len(columns)
+    if not 0 <= skip_columns < width:
+        raise OutOfBoundsError(f"skip_columns {skip_columns} outside 0..{width - 1}")
+    data = np.asarray(columns[skip_columns:], dtype=float, order="C")
+    kept_labels = (
+        tuple(labels[skip_columns:])
+        if labels is not None
+        else tuple(f"ch{i}" for i in range(1, data.shape[0] + 1))
+    )
+    return Recording(MultichannelSignal(data), kept_labels, None)
 
 
 def read_matrix_text(
@@ -109,6 +155,14 @@ def read_matrix_text(
     max_samples: int | None = None,
 ) -> Recording:
     """Read a numeric table, one channel per column.
+
+    Whitespace- and comma-delimited files are parsed by ``np.loadtxt``.
+    A file that loadtxt might read differently from ``str.splitlines``
+    and ``float()`` (a byte that is not ASCII, a vertical tab, form feed
+    or \\x1c-\\x1e line break), that it rejects (a bad token, a ragged
+    row, no data) or whose header is not as wide as its rows goes
+    through a token-by-token reader instead, which gives the same
+    result or names the line and column of the fault.
 
     Parameters
     ----------
@@ -133,6 +187,39 @@ def read_matrix_text(
     """
     if max_samples is not None and max_samples < 1:
         raise OutOfBoundsError(f"max_samples must be >= 1, got {max_samples}")
+    loaded = _loadtxt(path, delimiter, max_samples)
+    if loaded is None:
+        return _read_tokens(path, delimiter, skip_columns, max_samples)
+    return _recording(*loaded, skip_columns)
+
+
+def _loadtxt(path, delimiter, max_samples):
+    """``(channels, labels)`` parsed by ``np.loadtxt``, or None to use the token loop."""
+    if delimiter not in (None, ",") or _needs_token_loop(path):
+        return None
+    labels, skiprows = _header(path, delimiter)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns, not raises, on an empty table
+            table = np.loadtxt(
+                path,
+                dtype=float,
+                comments=None,
+                delimiter=delimiter,
+                skiprows=skiprows,
+                max_rows=max_samples,
+                ndmin=2,
+                encoding="ascii",
+            )
+    except (ValueError, Warning):
+        return None
+    if labels is not None and len(labels) != table.shape[1]:
+        return None
+    return np.ascontiguousarray(table.T), labels
+
+
+def _read_tokens(path, delimiter, skip_columns, max_samples) -> Recording:
+    """``read_matrix_text`` one token at a time, locating the first fault."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -182,16 +269,7 @@ def read_matrix_text(
 
     if width is None or not columns:
         raise ParseError("file contains no data rows")
-    if not 0 <= skip_columns < width:
-        raise OutOfBoundsError(f"skip_columns {skip_columns} outside 0..{width - 1}")
-
-    data = np.array(columns[skip_columns:], dtype=float)
-    kept_labels = (
-        tuple(labels[skip_columns:])
-        if labels is not None
-        else tuple(f"ch{i}" for i in range(1, data.shape[0] + 1))
-    )
-    return Recording(MultichannelSignal(data), kept_labels, None)
+    return _recording(columns, labels, skip_columns)
 
 
 def format_number(x: float) -> str:
@@ -202,13 +280,23 @@ def format_number(x: float) -> str:
 def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
     """Write channels-as-columns 17-digit text, optionally with a header.
 
-    A 1-D array is one channel and reads back as a 1 x M matrix.
+    A 1-D array is one channel and reads back as a 1 x M matrix.  Each
+    block of about ``_WRITE_BLOCK`` values is formatted by one ``%`` call.
     """
     arr = data.data if isinstance(data, MultichannelSignal) else np.asarray(data, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[np.newaxis]
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"expected a 1-D or 2-D table, got shape {arr.shape}")
+    rows = arr.T
+    row_format = delimiter.join([_NUMBER_FORMAT] * rows.shape[1]) + "\n"
+    step = max(1, _WRITE_BLOCK // max(1, rows.shape[1]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         if labels is not None:
             fh.write(delimiter.join(str(l) for l in labels) + "\n")
-        np.savetxt(fh, arr.T, fmt=_NUMBER_FORMAT, delimiter=delimiter)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,17 @@ class SeparationResult:
 
 
 def radius_series(signal: MultichannelSignal) -> np.ndarray:
-    """Distance of every trajectory point from the origin."""
-    return np.sqrt((signal.data**2).sum(axis=0))
+    """Distance of every trajectory point from the origin.
+
+    Raises
+    ------
+    NonFiniteError
+        If a squared radius overflows float64.
+    """
+    r = np.sqrt((signal.data**2).sum(axis=0))
+    if not np.isfinite(r).all():
+        raise NonFiniteError("squared radii overflow float64; rescale the input")
+    return r
 
 
 def find_maximum_direction(signal: MultichannelSignal) -> DirectionEstimate:
@@ -112,6 +121,8 @@ def find_maximum_direction(signal: MultichannelSignal) -> DirectionEstimate:
     ------
     ZeroSignalError
         If every sample is zero (radius below 1e-300).
+    NonFiniteError
+        If a squared radius overflows float64.
     """
     r = radius_series(signal)
     idx = int(np.argmax(r))  # first occurrence on ties

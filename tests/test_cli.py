@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +454,9 @@ BAD_CONFIGS = {
 }
 
 
+OVERFLOW_TABLE = b"1e200 1\n1 1e200\n3 2\n"  # finite, but the squared radii overflow
+
+
 class TestExitCodeContract:
     """Bad input ends in a documented exit code and a one-line message, never a traceback."""
 
@@ -486,6 +492,16 @@ class TestExitCodeContract:
             assert run("separate", big, tmp_path / "out.txt") == 4
         self.assert_clean_error(capsys)
 
+    @pytest.mark.parametrize("command", ["phase", "evaluate"])
+    def test_overflowing_radii_or_correlation_sums_exit_4(self, tmp_path, capsys, command):
+        big = tmp_path / "big.txt"
+        big.write_bytes(OVERFLOW_TABLE)
+        out = tmp_path / "out.txt"
+        args = (big, big, "--out", out) if command == "evaluate" else (big, out)
+        assert run(command, *args) == 4
+        self.assert_clean_error(capsys)
+        assert not out.exists()
+
     def test_negative_noise_seed_exits_2(self, tmp_path, capsys):
         args = ("--preset", "disjoint", "--noise-sd", "0.1", "--seed", "-1", tmp_path / "out.txt")
         assert run("gen", *args) == 2
@@ -499,3 +515,27 @@ class TestExitCodeContract:
         args = (bad, bad, "--out", out) if command == "evaluate" else (bad, out)
         assert run(command, *args) == 3
         self.assert_clean_error(capsys)
+
+
+class TestStderrOfAFreshProcess:
+    """Run as ``python -m phasemax.cli``, with Python's default warning filters."""
+
+    @pytest.mark.parametrize("command", ["separate", "phase", "evaluate"])
+    def test_overflow_prints_one_error_line_and_no_warning(self, tmp_path, command):
+        big = tmp_path / "big.txt"
+        big.write_bytes(OVERFLOW_TABLE)
+        out = tmp_path / "out.txt"
+        args = [big, big, "--out", out] if command == "evaluate" else [big, out]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasemax.cli", command, *map(str, args)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("phasemax: error:")

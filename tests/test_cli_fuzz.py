@@ -102,6 +102,7 @@ def test_table_commands_keep_exit_contract(table, command):
 
 @FUZZ
 @given(truth=token_table(), estimates=token_table())
+@example(truth=OVERFLOW_TABLE, estimates=OVERFLOW_TABLE)
 def test_evaluate_keeps_exit_contract(truth, estimates):
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "truth.txt"), Path(tmp, "estimates.txt")

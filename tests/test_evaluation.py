@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasemax.errors import DimensionMismatchError, ZeroSeriesError, ZeroVarianceError
+from phasemax.errors import DimensionMismatchError, NonFiniteError, ZeroSeriesError, ZeroVarianceError
 from phasemax.evaluation import (
     MethodSpec,
     MonteCarloConfig,
@@ -182,6 +182,12 @@ class TestAssociate:
         estimates = MultichannelSignal(np.vstack([truth.data[0], np.full(30, 2.5)]))
         with pytest.raises(ZeroVarianceError):
             associate(truth, estimates)
+
+    def test_overflowing_sums_raise(self):
+        # finite samples whose centred squares overflow; the matrix would be all NaN
+        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            associate(big, big)
 
     def test_sample_count_mismatch(self):
         a = MultichannelSignal(np.random.default_rng(86).normal(size=(2, 30)))

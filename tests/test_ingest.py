@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from phasemax import ingest
 from phasemax.errors import (
+    DimensionMismatchError,
     MalformedHeaderError,
     OutOfBoundsError,
     ParseError,
@@ -157,6 +159,23 @@ class TestWriteMatrixText:
         back = read_matrix_text(path).signal.data
         np.testing.assert_array_equal(back, AWKWARD)
         assert np.signbit(back[0, 0]) and not np.signbit(back[1, 0])
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 7, 10, 11])
+    def test_block_boundaries_match_oracle(self, tmp_path, monkeypatch, block):
+        # 2 x 5 values cut into blocks of whole rows; a block narrower than a row is one row
+        monkeypatch.setattr(ingest, "_WRITE_BLOCK", block)
+        path = tmp_path / "blocks.txt"
+        write_matrix_text(path, AWKWARD, labels=["a", "b"])
+        assert path.read_bytes() == oracle_lines(AWKWARD, ["a", "b"]).encode("ascii")
+
+    def test_no_samples_writes_only_the_labels(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        write_matrix_text(path, np.empty((2, 0)), labels=["a", "b"])
+        assert path.read_text() == "a b\n"
+
+    def test_three_dimensional_input_rejected(self, tmp_path):
+        with pytest.raises(DimensionMismatchError):
+            write_matrix_text(tmp_path / "cube.txt", np.zeros((2, 2, 2)))
 
     def test_one_dimensional_input_is_one_channel(self, tmp_path):
         path = tmp_path / "one.txt"

@@ -90,6 +90,14 @@ class TestFindMaximumDirection:
         with pytest.raises(ZeroSignalError):
             find_maximum_direction(MultichannelSignal(np.zeros((2, 4))))
 
+    def test_overflowing_radii_raise(self):
+        # phase and find_maximum_direction take the radii, not the energy
+        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            radius_series(big)
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            find_maximum_direction(big)
+
 
 class TestProjectSource:
     def test_aligned_signal_recovers_series(self):
