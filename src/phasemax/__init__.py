@@ -36,9 +36,9 @@ from .evaluation import (
     normalize_unit,
     pearson,
 )
-from .ingest import Recording, read_edf, read_matrix_text, select, write_edf, write_matrix_text
+from .ingest import Recording, read_edf, read_matrix_text, write_edf, write_matrix_text
 from .numerics import EigenDecomposition, gram_schmidt_orthonormal, symmetric_eig
-from .pca import PcaModel, fit_pca, pca_separate, second_moment
+from .pca import pca_separate, second_moment
 from .separation import (
     DirectionEstimate,
     SeparationResult,

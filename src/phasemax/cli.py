@@ -333,7 +333,7 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_phase(args) -> int:
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     r = separation.radius_series(signal)
-    n_max = separation.find_maximum_direction(signal).argmax_index
+    n_max = separation._maximum_direction(signal, r).argmax_index
     header = ["index"] + [f"z{i + 1}" for i in range(signal.n_channels)] + ["r", "is_max"]
     index = np.arange(signal.n_samples)
     table = np.vstack([index, signal.data, r, index == n_max])

@@ -143,7 +143,7 @@ def cross_method_correlations(a: SeparationResult, b: SeparationResult) -> Assoc
             f"results have {len(a.estimates)} and {len(b.estimates)} estimates"
         )
     return associate(
-        MultichannelSignal(a.series_matrix), MultichannelSignal(b.series_matrix)
+        MultichannelSignal._wrap(a.series_matrix), MultichannelSignal._wrap(b.series_matrix)
     )
 
 
@@ -230,7 +230,7 @@ def monte_carlo_rms(cfg: MonteCarloConfig) -> list:
             noisy = add_noise(clean, NoiseSpec(sd, cfg.base_seed + run))
             for spec in cfg.methods:
                 result = spec.run(noisy)
-                est = MultichannelSignal(
+                est = MultichannelSignal._wrap(
                     np.vstack([normalize_unit(e.series) for e in result.estimates])
                 )
                 report = associate(sources, est)

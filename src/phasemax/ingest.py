@@ -59,40 +59,6 @@ class Recording:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
 
 
-def select(rec: Recording, channels, sample_range=None) -> Recording:
-    """Sub-recording by 1-based channel list and inclusive sample range.
-
-    ``sample_range`` is a ``(first, last)`` pair, 1-based and inclusive,
-    or None for all samples.  Labels are carried over.
-
-    Raises
-    ------
-    OutOfBoundsError
-        On an empty channel list or any index/range outside the
-        recording.
-    """
-    n, m = rec.signal.n_channels, rec.signal.n_samples
-    channels = [int(c) for c in channels]
-    if not channels:
-        raise OutOfBoundsError("channel selection is empty")
-    for c in channels:
-        if not 1 <= c <= n:
-            raise OutOfBoundsError(f"channel {c} outside 1..{n}")
-    if sample_range is None:
-        first, last = 1, m
-    else:
-        first, last = int(sample_range[0]), int(sample_range[1])
-    if not (1 <= first <= last <= m):
-        raise OutOfBoundsError(f"sample range {first}..{last} outside 1..{m}")
-    rows = [c - 1 for c in channels]
-    data = rec.signal.data[rows, first - 1 : last]
-    return Recording(
-        MultichannelSignal(data),
-        tuple(rec.labels[i] for i in rows),
-        rec.sample_rate,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Delimited text matrices
 # ---------------------------------------------------------------------------

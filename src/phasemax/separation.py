@@ -85,17 +85,27 @@ class SeparationResult:
     the sum of the squared radii updated in place (``r2 -= s_k**2``,
     clamped at 0), which equals the explicitly deflated residual's sum
     of squares to rounding.
+
+    ``series_matrix`` is the read-only K x M block of the estimated
+    series; each estimate's ``series`` is a view of its row.
     """
 
     estimates: tuple
     residual_energy: np.ndarray
     method: str
     whitening: WhiteningTransform
+    series_matrix: np.ndarray
 
-    @property
-    def series_matrix(self) -> np.ndarray:
-        """Estimated series stacked as rows (K x M)."""
-        return np.vstack([e.series for e in self.estimates])
+
+def _result(found, rows, energies, method, whitening) -> SeparationResult:
+    """Freeze the first ``len(found)`` rows and give each estimate its row."""
+    series = rows[: len(found)]
+    series.setflags(write=False)
+    estimates = tuple(
+        SourceEstimate(direction, s, idx, radius)
+        for (direction, idx, radius), s in zip(found, series)
+    )
+    return SeparationResult(estimates, np.array(energies), method, whitening, series)
 
 
 def radius_series(signal: MultichannelSignal) -> np.ndarray:
@@ -124,7 +134,11 @@ def find_maximum_direction(signal: MultichannelSignal) -> DirectionEstimate:
     NonFiniteError
         If a squared radius overflows float64.
     """
-    r = radius_series(signal)
+    return _maximum_direction(signal, radius_series(signal))
+
+
+def _maximum_direction(signal: MultichannelSignal, r: np.ndarray) -> DirectionEstimate:
+    """``find_maximum_direction`` given the radii ``r = radius_series(signal)``."""
     idx = int(np.argmax(r))  # first occurrence on ties
     if r[idx] < _ZERO_RADIUS:
         raise ZeroSignalError("signal is identically zero; no direction exists")
@@ -207,7 +221,8 @@ def separate_maximum(
         max_sources = n
     if not 1 <= max_sources <= n:
         raise DimensionMismatchError(f"max_sources must be in 1..{n}, got {max_sources}")
-    if float((signal.data**2).sum()) == 0.0:
+    x = signal.data.ravel(order="K")  # a view of the contiguous data the constructor makes
+    if np.dot(x, x) == 0.0:  # every square underflows, not only exact zeros
         raise ZeroSignalError("cannot separate an identically zero signal")
 
     work, transform = apply_whitening(signal, whitening, order)
@@ -217,22 +232,23 @@ def separate_maximum(
     if not np.isfinite(initial):
         raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
-    estimates = []
-    while len(estimates) < max_sources and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
+    found = []  # (direction, argmax index, radius) per extraction
+    rows = np.empty((max_sources, z.shape[1]))
+    while len(found) < max_sources and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
         idx = int(np.argmax(r2))  # first occurrence on ties
         # The winner's residual, rebuilt exactly from z rather than from
         # r2, which has lost digits to cancellation.
         column = z[:, idx].copy()
-        for earlier in estimates:
-            column -= (earlier.direction @ column) * earlier.direction
+        for earlier, _, _ in found:
+            column -= (earlier @ column) * earlier
         radius = float(np.sqrt((column**2).sum()))
         if radius < _ZERO_RADIUS:
             raise ZeroSignalError("residual is identically zero; no direction exists")
         direction = column / radius
-        series = direction @ z
+        series = np.matmul(direction, z, out=rows[len(found)])
         r2 -= series**2
         np.maximum(r2, 0.0, out=r2)  # rounding leaves fully explained samples just below 0
         r2[idx] = 0.0
-        estimates.append(SourceEstimate(direction, series, idx, radius))
+        found.append((direction, idx, radius))
         energies.append(float(r2.sum()))
-    return SeparationResult(tuple(estimates), np.array(energies), "maximum", transform)
+    return _result(found, rows, energies, "maximum", transform)

@@ -25,9 +25,25 @@ from .errors import DimensionMismatchError, InvalidSpecError, NonFiniteError
 
 @dataclass(frozen=True)
 class MultichannelSignal:
-    """Immutable N x M block of real-valued channel data."""
+    """Immutable N x M block of real-valued channel data.
+
+    The constructor is the boundary: it copies its input and checks the
+    shape and that every value is finite.
+    """
 
     data: np.ndarray
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "MultichannelSignal":
+        """Wrap a 2-D float array the package made, marking it read-only.
+
+        No copy and no finiteness scan: only for arrays whose every
+        value the package has already computed from checked data.
+        """
+        arr.setflags(write=False)
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "data", arr)
+        return signal
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=float)

@@ -52,10 +52,6 @@ class WhiteningTransform:
     def identity(cls, n_channels: int) -> "WhiteningTransform":
         return cls("none", np.eye(n_channels), None)
 
-    def map_direction(self, v) -> np.ndarray:
-        """Image of a raw-space direction under the transform."""
-        return self.forward @ np.asarray(v, dtype=float)
-
 
 def _validated_order(order, n):
     if order is None:
@@ -100,7 +96,7 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     for k, i in enumerate(order):
         perm[k, i - 1] = 1.0
     forward = np.linalg.solve(coeffs, perm)
-    return MultichannelSignal(basis), WhiteningTransform("gram_schmidt", forward, order)
+    return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", forward, order)
 
 
 def second_moment(signal: MultichannelSignal, centered: bool = False) -> np.ndarray:
@@ -139,9 +135,7 @@ def whiten_pca(signal: MultichannelSignal):
         raise DegenerateInputError("a principal component series is identically zero")
     forward = eig.eigenvectors.T / norms[:, np.newaxis]
     components /= norms[:, np.newaxis]  # in place: one N x M array fewer at the peak
-    return MultichannelSignal(components), WhiteningTransform(
-        "pca", forward, None
-    )
+    return MultichannelSignal._wrap(components), WhiteningTransform("pca", forward, None)
 
 
 def apply_whitening(signal: MultichannelSignal, method: str, order=None):

@@ -205,7 +205,7 @@ def test_criterion_6_coincident_peak_breakdown():
     w = max_result.whitening
     cosines = []
     for j in range(2):
-        image = w.map_direction(DOMINANT_MIXING[:, j])
+        image = w.forward @ DOMINANT_MIXING[:, j]
         cosines.append(abs(float(first.direction @ image)) / np.linalg.norm(image))
     direction_broken = all(c < 0.99 for c in cosines)
 

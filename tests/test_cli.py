@@ -183,6 +183,7 @@ class TestSeparate:
         path = tmp_path / "zero.txt"
         write_matrix_text(path, np.zeros((2, 50)))
         assert run("separate", path, "--method", "max", tmp_path / "e.txt") == 4
+        assert run("phase", path, tmp_path / "p.txt") == 4
 
     def test_whiten_with_pca_method_exits_2(self, tmp_path, sources_file):
         code = run(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,27 @@ class TestCrossMethodCorrelations:
         report = cross_method_correlations(res, flipped)
         for *_, rho in report.pairs:
             assert abs(rho) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("whitening", ["gram_schmidt", "pca", "none"])
+    def test_copy_budget_on_a_long_recording(self, whitening):
+        # The caller ends up holding three N x M arrays: the checked copy
+        # of its input and the two results' series blocks.  Everything
+        # else the pipeline allocates may add at most half an N x M.
+        rng = np.random.default_rng(97)
+        n, m = 8, 200_000
+        sparse = np.where(rng.random((n, m)) < 0.01, rng.standard_normal((n, m)), 0.0)
+        raw = rng.normal(size=(n, n)) @ sparse
+        del sparse
+        tracemalloc.start()
+        try:
+            signal = MultichannelSignal(raw)
+            a = separate_maximum(signal, whitening=whitening)
+            b = pca_separate(signal)
+            cross_method_correlations(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * raw.nbytes
 
 
 def small_config(**overrides):

@@ -16,7 +16,6 @@ from phasemax.ingest import (
     read_edf,
     read_edf_header,
     read_matrix_text,
-    select,
     write_edf,
     write_matrix_text,
 )
@@ -182,57 +181,6 @@ class TestWriteMatrixText:
         write_matrix_text(path, np.array([1.5, -2.0, 0.25]))
         assert path.read_text() == "1.5\n-2\n0.25\n"
         np.testing.assert_array_equal(read_matrix_text(path).signal.data, [[1.5, -2.0, 0.25]])
-
-
-# ---------------------------------------------------------------------------
-# select
-# ---------------------------------------------------------------------------
-
-
-def make_recording(n=8, m=1000):
-    rng = np.random.default_rng(92)
-    return Recording(
-        MultichannelSignal(rng.normal(size=(n, m))),
-        tuple(f"lead{i}" for i in range(1, n + 1)),
-        500.0,
-    )
-
-
-class TestSelect:
-    def test_full_selection_is_identity(self):
-        rec = make_recording()
-        out = select(rec, range(1, 9))
-        np.testing.assert_array_equal(out.signal.data, rec.signal.data)
-        assert out.labels == rec.labels
-
-    def test_leads_1_to_4_first_300_samples(self):
-        rec = make_recording(8, 1000)
-        out = select(rec, [1, 2, 3, 4], (1, 300))
-        assert out.signal.data.shape == (4, 300)
-        np.testing.assert_array_equal(out.signal.data, rec.signal.data[:4, :300])
-        assert out.labels == ("lead1", "lead2", "lead3", "lead4")
-
-    def test_empty_channel_list_rejected(self):
-        with pytest.raises(OutOfBoundsError):
-            select(make_recording(), [])
-
-    def test_out_of_range_channel_rejected(self):
-        with pytest.raises(OutOfBoundsError):
-            select(make_recording(), [9])
-
-    def test_bad_sample_range_rejected(self):
-        with pytest.raises(OutOfBoundsError):
-            select(make_recording(), [1], (0, 10))
-        with pytest.raises(OutOfBoundsError):
-            select(make_recording(), [1], (5, 2000))
-
-    def test_selection_composes(self):
-        rec = make_recording(6, 400)
-        once = select(select(rec, [2, 4, 6], (101, 300)), [3, 1], (51, 150))
-        # channel composition: [2,4,6] then [3,1] -> [6,2]
-        direct = select(rec, [6, 2], (151, 250))
-        np.testing.assert_array_equal(once.signal.data, direct.signal.data)
-        assert once.labels == direct.labels
 
 
 # ---------------------------------------------------------------------------

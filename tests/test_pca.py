@@ -3,7 +3,8 @@ import pytest
 
 from phasemax.errors import DegenerateInputError
 from phasemax.evaluation import pearson
-from phasemax.pca import fit_pca, pca_separate, second_moment
+from phasemax.numerics import symmetric_eig
+from phasemax.pca import pca_separate, second_moment
 from phasemax.signals import (
     OBLIQUE_MIXING,
     MultichannelSignal,
@@ -70,8 +71,7 @@ class TestPcaSeparate:
 
     def test_principal_direction_close_but_not_aligned(self, pure_sources):
         mixed = mix(pure_sources, OBLIQUE_MIXING)
-        model = fit_pca(mixed, centered=False)
-        v1 = model.eig.eigenvectors[:, 0]
+        v1 = pca_separate(mixed, centered=False).estimates[0].direction
 
         def angle(col):
             c = abs(float(v1 @ col)) / np.linalg.norm(col)
@@ -115,7 +115,12 @@ class TestPcaSeparate:
             pca_separate(MultichannelSignal(np.zeros((2, 10))))
 
     def test_centered_model_records_means(self, pure_sources):
-        model = fit_pca(pure_sources, centered=True)
-        np.testing.assert_allclose(model.channel_means, pure_sources.data.mean(axis=1))
-        uncentered = fit_pca(pure_sources, centered=False)
-        np.testing.assert_array_equal(uncentered.channel_means, np.zeros(2))
+        # centered: eigenvectors of the covariance, projecting the
+        # mean-subtracted data; uncentered: the raw data, means untouched
+        data = pure_sources.data
+        for centered, x in ((True, data - data.mean(axis=1, keepdims=True)), (False, data)):
+            eig = symmetric_eig(second_moment(pure_sources, centered))
+            result = pca_separate(pure_sources, centered=centered)
+            for k, e in enumerate(result.estimates):
+                np.testing.assert_array_equal(e.direction, eig.eigenvectors[:, k])
+                np.testing.assert_allclose(e.series, e.direction @ x, rtol=0, atol=1e-12)

@@ -76,7 +76,7 @@ class TestFindMaximumDirection:
         found = find_maximum_direction(white)
         # oracle: image of each true source direction under the transform,
         # the detected one being whichever has the larger normalized peak
-        images = [transform.map_direction(OBLIQUE_MIXING[:, j]) for j in range(2)]
+        images = [transform.forward @ OBLIQUE_MIXING[:, j] for j in range(2)]
         peaks = [
             np.max(np.abs(disjoint_sources.data[j])) * np.linalg.norm(images[j])
             for j in range(2)
@@ -157,7 +157,7 @@ class TestDeflate:
         found = find_maximum_direction(white)
         residual = deflate(white, found, project_source(white, found))
 
-        images = [transform.map_direction(OBLIQUE_MIXING[:, j]) for j in range(2)]
+        images = [transform.forward @ OBLIQUE_MIXING[:, j] for j in range(2)]
         d = found.direction
         reduced = [b - d * float(d @ b) for b in images]
         oracle = sum(np.outer(reduced[j], disjoint_sources.data[j]) for j in range(2))
@@ -204,6 +204,9 @@ class TestSeparateMaximum:
     def test_zero_signal_raises(self):
         with pytest.raises(ZeroSignalError):
             separate_maximum(MultichannelSignal(np.zeros((2, 10))), whitening="none")
+        # nonzero values whose squares all underflow count as zero signal
+        with pytest.raises(ZeroSignalError):
+            separate_maximum(MultichannelSignal(np.full((2, 10), 1e-200)), whitening="none")
 
     def test_overflowing_energy_raises(self):
         # finite samples whose squared radii overflow to inf

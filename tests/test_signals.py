@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from phasemax.errors import DimensionMismatchError, InvalidSpecError, NonFiniteError
+from phasemax.pca import pca_separate
+from phasemax.separation import separate_maximum
 from phasemax.signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
@@ -38,6 +40,25 @@ class TestMultichannelSignal:
         assert sig.n_channels == 2 and sig.n_samples == 2
         with pytest.raises(ValueError):
             sig.data[0, 0] = 9.0
+
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        sig = MultichannelSignal(arr)
+        arr[0, 0] = 99.0
+        np.testing.assert_array_equal(sig.data, np.arange(6.0).reshape(2, 3))
+        assert arr.flags.writeable
+
+    @pytest.mark.parametrize("method", ["maximum", "pca"])
+    def test_series_block_is_read_only_and_shared(self, method):
+        sig = mix(generate_sources(disjoint_sources_spec()), OBLIQUE_MIXING)
+        result = separate_maximum(sig) if method == "maximum" else pca_separate(sig)
+        block = result.series_matrix
+        assert block.shape == (len(result.estimates), sig.n_samples)
+        assert not block.flags.writeable
+        for k, est in enumerate(result.estimates):
+            assert np.shares_memory(est.series, block[k])
+            np.testing.assert_array_equal(est.series, block[k])
+            assert not est.series.flags.writeable
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):

@@ -135,7 +135,7 @@ class TestWhiteningProperties:
         a = rng.normal(size=(3, 3)) + np.eye(3)
         mixed = mix(MultichannelSignal(data), a)
         _, transform = apply_whitening(mixed, method)
-        images = [transform.map_direction(a[:, j]) for j in range(3)]
+        images = [transform.forward @ a[:, j] for j in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 cosine = abs(images[i] @ images[j]) / (
