@@ -147,19 +147,24 @@ def _mixing_from_json(obj, context: str = "mixing") -> np.ndarray:
     return matrix
 
 
+# The keys a Monte-Carlo method entry may carry besides "method".
+_METHOD_KEYS = {"maximum": ("whitening", "order"), "pca": ("centered",)}
+
+
 def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
-    _require_keys(obj, ("method", "whitening", "order", "centered"), context)
-    if "method" not in obj:
-        raise InvalidSpecError(f"{context}: missing field method")
+    name = obj.get("method") if isinstance(obj, dict) else None
+    if not isinstance(name, str) or name not in _METHOD_KEYS:
+        raise InvalidSpecError(f'{context}: must be an object with method "maximum" or "pca"')
+    _require_keys(obj, ("method",) + _METHOD_KEYS[name], f"{context} ({name})")
     order = None
     if "order" in obj:
         items = _typed(tuple, obj["order"], f"{context}: order")
         order = tuple(_integer(i, f"{context}: order") for i in items)
     return evaluation.MethodSpec(
-        name=str(obj["method"]),
+        name=name,
         whitening=str(obj.get("whitening", "gram_schmidt")),
         order=order,
-        centered=bool(obj.get("centered", False)),
+        centered=obj.get("centered", False),
     )
 
 
@@ -274,12 +279,13 @@ def _cmd_gen(args) -> int:
         raise InvalidSpecError("gen needs --config or --preset")
     if args.mixing is not None:  # inline form wins over the config
         mixing = parse_mixing(args.mixing)
+    if args.noise_sd != 0.0:  # a nonzero inline sd wins over the config
+        noise_sd = args.noise_sd
+    noise = signals.NoiseSpec(noise_sd, args.seed)
     out = signals.generate_sources(spec)
     if mixing is not None:
         out = signals.mix(out, mixing)
-    if noise_sd > 0.0 or args.noise_sd > 0.0:
-        sd = args.noise_sd if args.noise_sd > 0.0 else noise_sd
-        out = signals.add_noise(out, signals.NoiseSpec(sd, args.seed))
+    out = signals.add_noise(out, noise)
     ingest.write_matrix_text(args.out, out)
     return 0
 
@@ -289,17 +295,19 @@ def _read_signal(path, skip_columns=0) -> signals.MultichannelSignal:
 
 
 def _cmd_separate(args) -> int:
+    order = tuple(_integer(i, "--order") for i in args.order.split(",")) if args.order else None
+    if args.method == "pca" and args.whiten != "none":
+        raise InvalidSpecError("--whiten applies to --method max only")
+    if order is not None and args.whiten != "gram_schmidt":
+        raise InvalidSpecError("--order applies to --whiten gram-schmidt only")
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     if args.center:
         signal = signals.center(signal)
-    order = tuple(_integer(i, "--order") for i in args.order.split(",")) if args.order else None
 
     if args.method == "max":
         result = separation.separate_maximum(signal, whitening=args.whiten, order=order)
     else:
-        if args.whiten != "none":
-            raise InvalidSpecError("--whiten applies to --method max only")
-        result = pca.pca_separate(signal, centered=args.center)
+        result = pca.pca_separate(signal)
 
     ingest.write_matrix_text(args.out_estimates, result.series_matrix)
     if args.out_directions is not None:
@@ -307,7 +315,7 @@ def _cmd_separate(args) -> int:
 
     if args.compare is not None:
         other = (
-            pca.pca_separate(signal, centered=args.center)
+            pca.pca_separate(signal)
             if args.method == "max"
             else separation.separate_maximum(signal, whitening=args.whiten, order=order)
         )

@@ -29,6 +29,7 @@ from .signals import (
     NoiseSpec,
     PulseTrainSpec,
     add_noise,
+    center,
     generate_sources,
     mix,
 )
@@ -152,7 +153,10 @@ class MethodSpec:
     """One separation method entry in a Monte-Carlo comparison.
 
     ``name`` is ``"maximum"`` or ``"pca"``.  ``whitening``/``order``
-    apply to the maximum method, ``centered`` to the PCA baseline.
+    apply to the maximum method, ``order`` only with Gram-Schmidt
+    whitening; ``centered`` (a bool) applies to the PCA baseline, which
+    then separates ``center(signal)``.  A setting that cannot apply is
+    an ``InvalidSpecError``.
     """
 
     name: str
@@ -163,6 +167,12 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in ("maximum", "pca"):
             raise InvalidSpecError(f"unknown method {self.name!r}")
+        if not isinstance(self.centered, bool):
+            raise InvalidSpecError(f"centered must be a boolean, got {self.centered!r}")
+        if self.centered and self.name != "pca":
+            raise InvalidSpecError("centered applies to the pca method only")
+        if self.order is not None and (self.name, self.whitening) != ("maximum", "gram_schmidt"):
+            raise InvalidSpecError("order applies to maximum with gram_schmidt whitening only")
 
     @property
     def label(self) -> str:
@@ -173,7 +183,7 @@ class MethodSpec:
     def run(self, signal: MultichannelSignal) -> SeparationResult:
         if self.name == "maximum":
             return separate_maximum(signal, whitening=self.whitening, order=self.order)
-        return pca_separate(signal, centered=self.centered)
+        return pca_separate(center(signal) if self.centered else signal)
 
 
 @dataclass(frozen=True)

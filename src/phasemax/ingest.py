@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidSpecError,
     MalformedHeaderError,
     OutOfBoundsError,
     ParseError,
@@ -114,12 +115,7 @@ def _recording(columns, labels, skip_columns) -> Recording:
     return Recording(MultichannelSignal(data), kept_labels, None)
 
 
-def read_matrix_text(
-    path,
-    delimiter: str | None = None,
-    skip_columns: int = 0,
-    max_samples: int | None = None,
-) -> Recording:
+def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) -> Recording:
     """Read a numeric table, one channel per column.
 
     Whitespace- and comma-delimited files are parsed by ``np.loadtxt``.
@@ -134,12 +130,10 @@ def read_matrix_text(
     ----------
     path : str or Path
         File to read.
-    delimiter : str, optional
+    delimiter : {None, ","}
         None splits on any whitespace; pass "," for CSV.
     skip_columns : int
         Leading columns to drop (e.g. a time/index column).
-    max_samples : int, optional
-        Keep only the first ``max_samples`` rows of data.
 
     Raises
     ------
@@ -149,19 +143,21 @@ def read_matrix_text(
     RaggedRowsError
         If rows have differing column counts.
     OutOfBoundsError
-        If ``max_samples`` is below 1 or ``skip_columns`` leaves no column.
+        If ``skip_columns`` leaves no column.
+    InvalidSpecError
+        If ``delimiter`` is neither None nor ",".
     """
-    if max_samples is not None and max_samples < 1:
-        raise OutOfBoundsError(f"max_samples must be >= 1, got {max_samples}")
-    loaded = _loadtxt(path, delimiter, max_samples)
+    if delimiter not in (None, ","):
+        raise InvalidSpecError(f"delimiter must be None or ',', got {delimiter!r}")
+    loaded = _loadtxt(path, delimiter)
     if loaded is None:
-        return _read_tokens(path, delimiter, skip_columns, max_samples)
+        return _read_tokens(path, delimiter, skip_columns)
     return _recording(*loaded, skip_columns)
 
 
-def _loadtxt(path, delimiter, max_samples):
+def _loadtxt(path, delimiter):
     """``(channels, labels)`` parsed by ``np.loadtxt``, or None to use the token loop."""
-    if delimiter not in (None, ",") or _needs_token_loop(path):
+    if _needs_token_loop(path):
         return None
     labels, skiprows = _header(path, delimiter)
     try:
@@ -173,7 +169,6 @@ def _loadtxt(path, delimiter, max_samples):
                 comments=None,
                 delimiter=delimiter,
                 skiprows=skiprows,
-                max_rows=max_samples,
                 ndmin=2,
                 encoding="ascii",
             )
@@ -184,7 +179,7 @@ def _loadtxt(path, delimiter, max_samples):
     return np.ascontiguousarray(table.T), labels
 
 
-def _read_tokens(path, delimiter, skip_columns, max_samples) -> Recording:
+def _read_tokens(path, delimiter, skip_columns) -> Recording:
     """``read_matrix_text`` one token at a time, locating the first fault."""
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -198,10 +193,7 @@ def _read_tokens(path, delimiter, skip_columns, max_samples) -> Recording:
     labels = None
     width = None
     columns: list = []
-    n_rows = 0
     for lineno, line in enumerate(lines, start=1):
-        if max_samples is not None and n_rows >= max_samples:
-            break
         tokens = _tokenize(line, delimiter)
         if not tokens or all(t == "" for t in tokens):
             continue
@@ -213,7 +205,6 @@ def _read_tokens(path, delimiter, skip_columns, max_samples) -> Recording:
                 labels = tokens
                 continue
             columns = [[v] for v in first]
-            n_rows = 1
             continue
         if len(tokens) != width:
             raise RaggedRowsError(
@@ -231,7 +222,6 @@ def _read_tokens(path, delimiter, skip_columns, max_samples) -> Recording:
                     line=lineno,
                     column=colno,
                 ) from None
-        n_rows += 1
 
     if width is None or not columns:
         raise ParseError("file contains no data rows")

@@ -188,7 +188,6 @@ def separate_maximum(
     signal: MultichannelSignal,
     whitening: str = "gram_schmidt",
     order=None,
-    max_sources: int | None = None,
 ) -> SeparationResult:
     """Extract sources by iterating maximum detection and deflation.
 
@@ -202,10 +201,10 @@ def separate_maximum(
         stays in N coordinates throughout.
     order : sequence of int, optional
         1-based channel order for Gram-Schmidt whitening.
-    max_sources : int, optional
-        Iteration cap; defaults to the channel count.  Extraction also
-        stops once the residual energy falls below
-        ``DEFAULT_ENERGY_FLOOR`` times the initial energy.
+
+    At most one source is extracted per channel; extraction stops
+    earlier once the residual energy falls below ``DEFAULT_ENERGY_FLOOR``
+    times the initial energy.
 
     Raises
     ------
@@ -216,11 +215,6 @@ def separate_maximum(
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
-    n = signal.n_channels
-    if max_sources is None:
-        max_sources = n
-    if not 1 <= max_sources <= n:
-        raise DimensionMismatchError(f"max_sources must be in 1..{n}, got {max_sources}")
     x = signal.data.ravel(order="K")  # a view of the contiguous data the constructor makes
     if np.dot(x, x) == 0.0:  # every square underflows, not only exact zeros
         raise ZeroSignalError("cannot separate an identically zero signal")
@@ -233,8 +227,8 @@ def separate_maximum(
         raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
-    rows = np.empty((max_sources, z.shape[1]))
-    while len(found) < max_sources and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
+    rows = np.empty(z.shape)
+    while len(found) < len(rows) and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
         idx = int(np.argmax(r2))  # first occurrence on ties
         # The winner's residual, rebuilt exactly from z rather than from
         # r2, which has lost digits to cancellation.

@@ -138,8 +138,6 @@ def generate_sources(spec: PulseTrainSpec) -> MultichannelSignal:
     sample positions 0 .. M-1.  Deterministic: the same spec always
     produces the same samples.
     """
-    if not isinstance(spec, PulseTrainSpec):
-        spec = PulseTrainSpec(*spec)
     n = np.arange(spec.n_samples, dtype=float)
     data = np.zeros((spec.n_sources, spec.n_samples))
     for j, train in enumerate(spec.sources):

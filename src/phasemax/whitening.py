@@ -99,16 +99,13 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", forward, order)
 
 
-def second_moment(signal: MultichannelSignal, centered: bool = False) -> np.ndarray:
+def second_moment(signal: MultichannelSignal) -> np.ndarray:
     """Second moment matrix ``C[i][j] = sum_n x_i[n] x_j[n] / M``.
 
-    ``x`` is the raw data, or the mean-subtracted data when
-    ``centered`` is set (making C the covariance matrix).  Symmetric by
-    construction.
+    Uncentered: pass ``signals.center(signal)`` to get the covariance
+    matrix.  Symmetric by construction.
     """
     x = signal.data
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
     c = x @ x.T / signal.n_samples
     return 0.5 * (c + c.T)
 

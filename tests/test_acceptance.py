@@ -44,6 +44,7 @@ from phasemax.signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
     MultichannelSignal,
+    center,
     coincident_peaks_spec,
     correlated_sources_spec,
     disjoint_sources_spec,
@@ -143,10 +144,10 @@ def test_criterion_4_pca_baseline():
     )
 
     sources = generate_sources(disjoint_sources_spec(1000))
-    rhos = paired_abs_correlations(pca_separate(sources, centered=False), sources)
+    rhos = paired_abs_correlations(pca_separate(sources), sources)
     uncentered_ok = min(rhos.values()) >= 0.999
 
-    centered = pca_separate(sources, centered=True)
+    centered = pca_separate(center(sources))
     contaminated = any(
         all(abs(pearson(e.series, sources.data[j])) >= 0.05 for j in range(2))
         for e in centered.estimates
@@ -217,7 +218,7 @@ def test_criterion_6_coincident_peak_breakdown():
         )
 
     rho_maximum = best_abs_rho(max_result)
-    rho_pca = best_abs_rho(pca_separate(mixed, centered=False))
+    rho_pca = best_abs_rho(pca_separate(mixed))
     ok = direction_broken and rho_pca > rho_maximum
     report(
         "C6 coincident peaks: maximum detects a spurious direction, PCA degrades less",
@@ -286,9 +287,9 @@ def daisy_path():
 
 @pytest.mark.skipif(daisy_path() is None, reason="cutaneous 8-lead recording not downloaded")
 def test_criterion_8_external_data_cross_method():
-    rec = read_matrix_text(daisy_path(), skip_columns=1, max_samples=1000)
-    signal = rec.signal
-    pca_result = pca_separate(signal, centered=False)
+    rec = read_matrix_text(daisy_path(), skip_columns=1)
+    signal = MultichannelSignal(rec.signal.data[:, :1000])  # the first 1000 samples
+    pca_result = pca_separate(signal)
     max_result = separate_maximum(signal, whitening="none")
     rep = cross_method_correlations(pca_result, max_result)
     first_two = {i: abs(rho) for i, _, rho in rep.pairs if i in (0, 1)}

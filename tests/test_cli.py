@@ -11,10 +11,12 @@ from phasemax.cli import main, parse_channels, parse_mixing
 from phasemax.errors import InvalidSpecError
 from phasemax.ingest import read_matrix_text, write_edf, write_matrix_text
 from phasemax.ingest import Recording
+from phasemax.pca import pca_separate
 from phasemax.separation import radius_series
 from phasemax.signals import (
     OBLIQUE_MIXING,
     MultichannelSignal,
+    center,
     disjoint_sources_spec,
     generate_sources,
     mix,
@@ -167,6 +169,15 @@ class TestSeparate:
         assert run("separate", sources_file, "--method", "pca", plain) == 0
         assert run("separate", sources_file, "--method", "pca", "--center", centered) == 0
         assert plain.read_bytes() != centered.read_bytes()
+
+    @pytest.mark.parametrize("fixture", ["sources_file", "mixture_file"])
+    def test_pca_center_separates_the_centered_signal_once(self, tmp_path, request, fixture):
+        path = request.getfixturevalue(fixture)
+        out, expected = tmp_path / "out.txt", tmp_path / "expected.txt"
+        assert run("separate", path, "--method", "pca", "--center", out) == 0
+        signal = read_matrix_text(path).signal
+        write_matrix_text(expected, pca_separate(center(signal)).series_matrix)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_compare_writes_association(self, tmp_path, mixture_file):
         est = tmp_path / "est.txt"
@@ -427,6 +438,12 @@ PULSE = {"center": 50, "width": 5, "amplitude": 1.0}
 MAXIMUM = {"method": "maximum"}
 MC_CONFIG = {"preset": "disjoint", "noise_sd": [0.001], "n_runs": 1, "methods": [{"method": "pca"}]}
 
+
+def mc_method(method):
+    """A one-method Monte-Carlo config whose method entry is ``method``."""
+    return ("montecarlo", {**MC_CONFIG, "methods": [method]})
+
+
 BAD_CONFIGS = {
     "gen-n_samples-text": ("gen", {"n_samples": "abc", "sources": [[PULSE]]}),
     "gen-preset-n_samples-text": ("gen", {"preset": "disjoint", "n_samples": "abc"}),
@@ -452,6 +469,19 @@ BAD_CONFIGS = {
     "mc-order-bool": ("montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [True, 2]}]}),
     "mc-base_seed-negative": ("montecarlo", {**MC_CONFIG, "base_seed": -3}),
     "mc-fixture-number": ("montecarlo", {"fixture": 3, "noise_sd": [0.001], "methods": [MAXIMUM]}),
+    # a method setting that cannot apply is an error, not ignored
+    "mc-centered-text": mc_method({"method": "pca", "centered": "false"}),
+    "mc-centered-number": mc_method({"method": "pca", "centered": 1}),
+    "mc-maximum-centered": mc_method({**MAXIMUM, "centered": True}),
+    "mc-maximum-uncentered": mc_method({**MAXIMUM, "centered": False}),
+    "mc-pca-order": mc_method({"method": "pca", "order": [1, 2]}),
+    "mc-pca-whitening": mc_method({"method": "pca", "whitening": "pca"}),
+    "mc-order-without-gram-schmidt": mc_method({**MAXIMUM, "whitening": "none", "order": [2, 1]}),
+    "mc-method-missing": mc_method({"whitening": "none"}),
+    "mc-method-list": mc_method({"method": ["pca"]}),
+    "mc-noise_sd-negative": ("montecarlo", {**MC_CONFIG, "noise_sd": [-0.5]}),
+    "gen-noise_sd-negative": ("gen", {"preset": "disjoint", "noise_sd": -0.5}),
+    "gen-noise_sd-nan-text": ("gen", {"preset": "disjoint", "noise_sd": "nan"}),
 }
 
 
@@ -479,6 +509,27 @@ class TestExitCodeContract:
         args = ("--whiten", "gram-schmidt", "--order", order, tmp_path / "out.txt")
         assert run("separate", mixture_file, *args) == 2
         self.assert_clean_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--whiten", "none", "--order", "2,1"),
+            ("--whiten", "pca", "--order", "2,1"),
+            ("--method", "pca", "--order", "2,1"),
+        ],
+    )
+    def test_order_without_gram_schmidt_exits_2(self, tmp_path, capsys, mixture_file, flags):
+        out = tmp_path / "out.txt"
+        assert run("separate", mixture_file, *flags, out) == 2
+        self.assert_clean_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sd", ["-0.5", "nan", "inf"])
+    def test_bad_noise_sd_exits_2(self, tmp_path, capsys, sd):
+        out = tmp_path / "out.txt"
+        assert run("gen", "--preset", "disjoint", "--noise-sd", sd, out) == 2
+        self.assert_clean_error(capsys)
+        assert not out.exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasemax.errors import DimensionMismatchError, NonFiniteError, ZeroSeriesError, ZeroVarianceError
+from phasemax.errors import (
+    DimensionMismatchError,
+    InvalidSpecError,
+    NonFiniteError,
+    ZeroSeriesError,
+    ZeroVarianceError,
+)
 from phasemax.evaluation import (
     MethodSpec,
     MonteCarloConfig,
@@ -19,11 +25,16 @@ from phasemax.evaluation import (
 from phasemax.pca import pca_separate
 from phasemax.separation import separate_maximum
 from phasemax.signals import (
+    OBLIQUE_MIXING,
     MultichannelSignal,
     NoiseSpec,
     add_noise,
+    center,
+    coincident_peaks_spec,
+    correlated_sources_spec,
     disjoint_sources_spec,
     generate_sources,
+    mix,
 )
 
 
@@ -240,6 +251,40 @@ class TestCrossMethodCorrelations:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * raw.nbytes
+
+
+class TestMethodSpec:
+    @pytest.mark.parametrize(
+        "spec", [disjoint_sources_spec, correlated_sources_spec, coincident_peaks_spec]
+    )
+    def test_centered_pca_separates_the_centered_signal(self, spec):
+        # the Monte-Carlo bytes of a centered PCA method rest on this identity
+        signal = add_noise(mix(generate_sources(spec()), OBLIQUE_MIXING), NoiseSpec(0.01, 5))
+        got = MethodSpec("pca", centered=True).run(signal)
+        expected = pca_separate(center(signal))
+        np.testing.assert_array_equal(got.series_matrix, expected.series_matrix)
+        np.testing.assert_array_equal(got.residual_energy, expected.residual_energy)
+        for a, b in zip(got.estimates, expected.estimates):
+            np.testing.assert_array_equal(a.direction, b.direction)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(name="pca", centered="false"),
+            dict(name="pca", centered=1),
+            dict(name="maximum", centered=True),
+            dict(name="pca", order=(1, 2)),
+            dict(name="maximum", whitening="none", order=(2, 1)),
+            dict(name="maximum", whitening="pca", order=(2, 1)),
+            dict(name="ica"),
+        ],
+    )
+    def test_setting_that_cannot_apply_is_rejected(self, fields):
+        with pytest.raises(InvalidSpecError):
+            MethodSpec(**fields)
+
+    def test_order_with_gram_schmidt_accepted(self):
+        assert MethodSpec("maximum", order=(2, 1)).order == (2, 1)
 
 
 def small_config(**overrides):

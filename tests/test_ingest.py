@@ -4,6 +4,7 @@ import pytest
 from phasemax import ingest
 from phasemax.errors import (
     DimensionMismatchError,
+    InvalidSpecError,
     MalformedHeaderError,
     OutOfBoundsError,
     ParseError,
@@ -35,12 +36,6 @@ class TestReadMatrixText:
         assert rec.signal.n_channels == 2 and rec.signal.n_samples == 3
         np.testing.assert_array_equal(rec.signal.data, [[1, 3, 5], [2, 4, 6]])
         assert rec.labels == ("ch1", "ch2")
-
-    def test_max_samples_truncates(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("".join(f"{i} {i + 0.5}\n" for i in range(2000)))
-        rec = read_matrix_text(path, max_samples=1000)
-        assert rec.signal.n_samples == 1000
 
     def test_header_row_detected(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -91,12 +86,12 @@ class TestReadMatrixText:
         part = read_edf(path, channels=[3, 1], max_samples=max_samples).signal.data
         np.testing.assert_array_equal(part, full[:, :max_samples])
 
-    @pytest.mark.parametrize("max_samples", [0, -10])
-    def test_non_positive_max_samples_rejected(self, tmp_path, max_samples):
+    @pytest.mark.parametrize("delimiter", [";", "\t", " ", ""])
+    def test_delimiter_other_than_whitespace_or_comma_rejected(self, tmp_path, delimiter):
         path = tmp_path / "m.txt"
-        path.write_text("1 2\n3 4\n")
-        with pytest.raises(OutOfBoundsError):
-            read_matrix_text(path, max_samples=max_samples)
+        path.write_text("1;2\n3;4\n")
+        with pytest.raises(InvalidSpecError):
+            read_matrix_text(path, delimiter=delimiter)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -8,6 +8,7 @@ from phasemax.pca import pca_separate, second_moment
 from phasemax.signals import (
     OBLIQUE_MIXING,
     MultichannelSignal,
+    center,
     disjoint_sources_spec,
     generate_sources,
     mix,
@@ -23,7 +24,7 @@ class TestSecondMoment:
     def test_duplicate_channels_rank_one(self):
         x = np.arange(1.0, 6.0)
         sig = MultichannelSignal(np.vstack([x, x]))
-        c = second_moment(sig, centered=False)
+        c = second_moment(sig)
         p = float((x * x).mean())
         np.testing.assert_allclose(c, [[p, p], [p, p]], atol=1e-12)
 
@@ -31,15 +32,16 @@ class TestSecondMoment:
         data = np.zeros((2, 8))
         data[0, :4] = [1.0, -2.0, 3.0, 1.0]
         data[1, 4:] = [4.0, 1.0, -1.0, 2.0]
-        c = second_moment(MultichannelSignal(data), centered=False)
+        c = second_moment(MultichannelSignal(data))
         assert abs(c[0, 1]) <= 1e-12 and abs(c[1, 0]) <= 1e-12
 
     def test_matches_brute_force_double_sum(self):
         rng = np.random.default_rng(61)
         data = rng.normal(size=(3, 100))
+        sig = MultichannelSignal(data)
         for centered in (False, True):
             x = data - data.mean(axis=1, keepdims=True) if centered else data
-            c = second_moment(MultichannelSignal(data), centered=centered)
+            c = second_moment(center(sig) if centered else sig)
             for i in range(3):
                 for j in range(3):
                     acc = 0.0
@@ -56,13 +58,13 @@ class TestSecondMoment:
 
 class TestPcaSeparate:
     def test_uncentered_recovers_pure_sources(self, pure_sources):
-        result = pca_separate(pure_sources, centered=False)
+        result = pca_separate(pure_sources)
         for j in range(2):
             best = max(abs(pearson(e.series, pure_sources.data[j])) for e in result.estimates)
             assert best >= 0.999
 
     def test_centered_contaminates_estimates(self, pure_sources):
-        result = pca_separate(pure_sources, centered=True)
+        result = pca_separate(center(pure_sources))
         contaminated = any(
             all(abs(pearson(e.series, pure_sources.data[j])) >= 0.05 for j in range(2))
             for e in result.estimates
@@ -71,7 +73,7 @@ class TestPcaSeparate:
 
     def test_principal_direction_close_but_not_aligned(self, pure_sources):
         mixed = mix(pure_sources, OBLIQUE_MIXING)
-        v1 = pca_separate(mixed, centered=False).estimates[0].direction
+        v1 = pca_separate(mixed).estimates[0].direction
 
         def angle(col):
             c = abs(float(v1 @ col)) / np.linalg.norm(col)
@@ -85,7 +87,7 @@ class TestPcaSeparate:
         rng = np.random.default_rng(63)
         sig = MultichannelSignal(rng.normal(size=(4, 200)) * np.array([[3.0], [2.0], [1.0], [0.5]]))
         for centered in (False, True):
-            result = pca_separate(sig, centered=centered)
+            result = pca_separate(center(sig) if centered else sig)
             power = [float((e.series**2).mean()) for e in result.estimates]
             for a, b in zip(power, power[1:]):
                 assert b <= a * (1 + 1e-10)
@@ -93,7 +95,7 @@ class TestPcaSeparate:
     def test_total_energy_conserved(self):
         rng = np.random.default_rng(64)
         sig = MultichannelSignal(rng.normal(size=(3, 120)))
-        result = pca_separate(sig, centered=False)
+        result = pca_separate(sig)
         total = sum(float((e.series**2).sum()) for e in result.estimates)
         assert total == pytest.approx(float((sig.data**2).sum()), rel=1e-9)
 
@@ -115,12 +117,15 @@ class TestPcaSeparate:
             pca_separate(MultichannelSignal(np.zeros((2, 10))))
 
     def test_centered_model_records_means(self, pure_sources):
-        # centered: eigenvectors of the covariance, projecting the
+        # centered input: eigenvectors of the covariance, projecting the
         # mean-subtracted data; uncentered: the raw data, means untouched
         data = pure_sources.data
-        for centered, x in ((True, data - data.mean(axis=1, keepdims=True)), (False, data)):
-            eig = symmetric_eig(second_moment(pure_sources, centered))
-            result = pca_separate(pure_sources, centered=centered)
+        for sig, x in (
+            (center(pure_sources), data - data.mean(axis=1, keepdims=True)),
+            (pure_sources, data),
+        ):
+            eig = symmetric_eig(second_moment(sig))
+            result = pca_separate(sig)
             for k, e in enumerate(result.estimates):
                 np.testing.assert_array_equal(e.direction, eig.eigenvectors[:, k])
                 np.testing.assert_allclose(e.series, e.direction @ x, rtol=0, atol=1e-12)

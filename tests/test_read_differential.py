@@ -71,21 +71,21 @@ def table_bytes(draw, delimiter):
     return raw, delimiter
 
 
-def outcome(reader, path, delimiter, skip_columns, max_samples):
+def outcome(reader, path, delimiter, skip_columns):
     """The array and labels a reader returns, or what it raises."""
     try:
-        rec = reader(path, delimiter, skip_columns, max_samples)
+        rec = reader(path, delimiter, skip_columns)
     except Exception as exc:  # every class is compared, not only the package's own
         return ("raised", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
     return ("read", rec.signal.data, rec.labels)
 
 
-def assert_same(raw, delimiter, skip_columns, max_samples):
+def assert_same(raw, delimiter, skip_columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.txt"
         path.write_bytes(raw)
-        fast = outcome(read_matrix_text, path, delimiter, skip_columns, max_samples)
-        slow = outcome(_read_tokens, path, delimiter, skip_columns, max_samples)
+        fast = outcome(read_matrix_text, path, delimiter, skip_columns)
+        slow = outcome(_read_tokens, path, delimiter, skip_columns)
     assert fast[0] == slow[0], (fast, slow)
     if fast[0] == "raised":
         assert fast == slow
@@ -103,29 +103,28 @@ def assert_same(raw, delimiter, skip_columns, max_samples):
 @given(
     table=st.sampled_from([None, ","]).flatmap(table_bytes),
     skip_columns=st.integers(0, 2),
-    max_samples=st.one_of(st.none(), st.integers(1, 6)),
 )
-@example(table=(b"1_0 2\n3 4\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"a b\n1_0 2\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"1 2\n3 #4\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"1,2\n#,4\n", ","), skip_columns=0, max_samples=None)
-@example(table=(b"1 2\f3 4\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"1 2\x0b3 4\x1c5 6\x1d7 8\x1e", None), skip_columns=1, max_samples=3)
-@example(table=(b"a b\r1 2\r3 4\r", None), skip_columns=0, max_samples=None)
-@example(table=(b"1,2\r3,4", ","), skip_columns=0, max_samples=1)
-@example(table=(b"1,2\n, ,\n3,4\n", ","), skip_columns=0, max_samples=None)
-@example(table=(b"1,2\n \n\x1f\n3,4\n", ","), skip_columns=0, max_samples=None)
-@example(table=(b"", None), skip_columns=0, max_samples=None)
-@example(table=(b"", ","), skip_columns=0, max_samples=2)
-@example(table=(b"a b\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"a,b\n\n", ","), skip_columns=0, max_samples=1)
-@example(table=(b"1 2\n3 4\n5 \xff\n", None), skip_columns=0, max_samples=2)
-@example(table=(b"1 2\n3 4\n5\n", None), skip_columns=0, max_samples=2)
-@example(table=(b"a b c\n1 2\n3 4\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"a,b,c\n1,2\n", ","), skip_columns=0, max_samples=1)
-@example(table=(b"a b\n1 2 3\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"-0 0\n-0.0 5e-324\n", None), skip_columns=0, max_samples=None)
-@example(table=(b"1 2\n3 4\n", None), skip_columns=2, max_samples=None)
-@example(table=(b"1 nan\n", None), skip_columns=0, max_samples=None)
-def test_loadtxt_path_matches_token_loop(table, skip_columns, max_samples):
-    assert_same(*table, skip_columns, max_samples)
+@example(table=(b"1_0 2\n3 4\n", None), skip_columns=0)
+@example(table=(b"a b\n1_0 2\n", None), skip_columns=0)
+@example(table=(b"1 2\n3 #4\n", None), skip_columns=0)
+@example(table=(b"1,2\n#,4\n", ","), skip_columns=0)
+@example(table=(b"1 2\f3 4\n", None), skip_columns=0)
+@example(table=(b"1 2\x0b3 4\x1c5 6\x1d7 8\x1e", None), skip_columns=1)
+@example(table=(b"a b\r1 2\r3 4\r", None), skip_columns=0)
+@example(table=(b"1,2\r3,4", ","), skip_columns=0)
+@example(table=(b"1,2\n, ,\n3,4\n", ","), skip_columns=0)
+@example(table=(b"1,2\n \n\x1f\n3,4\n", ","), skip_columns=0)
+@example(table=(b"", None), skip_columns=0)
+@example(table=(b"", ","), skip_columns=0)
+@example(table=(b"a b\n", None), skip_columns=0)
+@example(table=(b"a,b\n\n", ","), skip_columns=0)
+@example(table=(b"1 2\n3 4\n5 \xff\n", None), skip_columns=0)
+@example(table=(b"1 2\n3 4\n5\n", None), skip_columns=0)
+@example(table=(b"a b c\n1 2\n3 4\n", None), skip_columns=0)
+@example(table=(b"a,b,c\n1,2\n", ","), skip_columns=0)
+@example(table=(b"a b\n1 2 3\n", None), skip_columns=0)
+@example(table=(b"-0 0\n-0.0 5e-324\n", None), skip_columns=0)
+@example(table=(b"1 2\n3 4\n", None), skip_columns=2)
+@example(table=(b"1 nan\n", None), skip_columns=0)
+def test_loadtxt_path_matches_token_loop(table, skip_columns):
+    assert_same(*table, skip_columns)

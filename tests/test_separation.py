@@ -214,11 +214,6 @@ class TestSeparateMaximum:
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
             separate_maximum(big, whitening="none")
 
-    def test_max_sources_caps_iterations(self, oblique_mixture):
-        result = separate_maximum(oblique_mixture, whitening="none", max_sources=1)
-        assert len(result.estimates) == 1
-        assert result.residual_energy.shape == (2,)
-
 
 class TestSeparationProperties:
     def test_deflation_orthogonality_random_trials(self):
