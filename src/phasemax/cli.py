@@ -8,10 +8,12 @@ report).
 
 Exit codes are a stable scripting contract: 0 success, 2 usage or
 configuration error, 3 I/O or file-content error, 4 degenerate
-numerical input, 5 unsupported format feature.  All numeric output is
-17-significant-digit locale-independent decimal text, so a command with
-fixed inputs and seed writes byte-identical files on every run on the
-same machine and numpy/LAPACK build.
+numerical input, 5 unsupported format feature.  Each error type in
+``phasemax.errors`` declares its code as ``exit_code``; an ``OSError``
+exits 3.  All numeric output is 17-significant-digit locale-independent
+decimal text, so a command with fixed inputs and seed writes
+byte-identical files on every run on the same machine and numpy/LAPACK
+build.
 """
 
 from __future__ import annotations
@@ -23,20 +25,7 @@ import sys
 import numpy as np
 
 from . import evaluation, ingest, pca, separation, signals, whitening
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    MalformedHeaderError,
-    NonFiniteError,
-    OutOfBoundsError,
-    ParseError,
-    TruncatedDataError,
-    UnsupportedFeatureError,
-    ZeroSeriesError,
-    ZeroSignalError,
-    ZeroVarianceError,
-)
+from .errors import InvalidSpecError, PhasemaxError
 from .ingest import format_number as _fmt
 
 PRESETS = {
@@ -44,11 +33,6 @@ PRESETS = {
     "correlated": signals.correlated_sources_spec,
     "coincident": signals.coincident_peaks_spec,
 }
-
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_DEGENERATE = 4
-EXIT_UNSUPPORTED = 5
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +146,7 @@ def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
         order = tuple(_integer(i, f"{context}: order") for i in items)
     return evaluation.MethodSpec(
         name=name,
-        whitening=str(obj.get("whitening", "gram_schmidt")),
+        whitening=str(obj["whitening"]) if "whitening" in obj else None,
         order=order,
         centered=obj.get("centered", False),
     )
@@ -272,11 +256,12 @@ def _association_doc(report: evaluation.AssociationReport, left: str, right: str
 
 def _cmd_gen(args) -> int:
     if args.config is not None:
+        if args.n_samples is not None:
+            raise InvalidSpecError("--n-samples applies to --preset only")
         spec, mixing, noise_sd = _gen_config(_load_json(args.config))
-    elif args.preset is not None:
-        spec, mixing, noise_sd = PRESETS[args.preset](args.n_samples), None, 0.0
     else:
-        raise InvalidSpecError("gen needs --config or --preset")
+        n_samples = 1000 if args.n_samples is None else args.n_samples
+        spec, mixing, noise_sd = PRESETS[args.preset](n_samples), None, 0.0
     if args.mixing is not None:  # inline form wins over the config
         mixing = parse_mixing(args.mixing)
     if args.noise_sd != 0.0:  # a nonzero inline sd wins over the config
@@ -298,8 +283,7 @@ def _cmd_separate(args) -> int:
     order = tuple(_integer(i, "--order") for i in args.order.split(",")) if args.order else None
     if args.method == "pca" and args.whiten != "none":
         raise InvalidSpecError("--whiten applies to --method max only")
-    if order is not None and args.whiten != "gram_schmidt":
-        raise InvalidSpecError("--order applies to --whiten gram-schmidt only")
+    whitening._check_settings(args.whiten, order)
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     if args.center:
         signal = signals.center(signal)
@@ -378,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate synthetic sparse sources")
-    p.add_argument("--config", help="JSON pulse-train config")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="bundled fixture")
-    p.add_argument("--n-samples", type=int, default=1000, help="sample count for presets")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON pulse-train config")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="bundled fixture")
+    p.add_argument("--n-samples", type=int, help="sample count for presets (default 1000)")
     p.add_argument("--mixing", help='inline mixing matrix, e.g. "1.3,2;1,3"')
     p.add_argument("--noise-sd", type=float, default=0.0, help="add seeded Gaussian noise")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
@@ -444,24 +429,9 @@ def main(argv=None) -> int:
         # overflow is reported as one NonFiniteError line, not numpy warnings first
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (InvalidSpecError, DimensionMismatchError, OutOfBoundsError) as exc:
+    except (PhasemaxError, OSError) as exc:
         print(f"phasemax: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, MalformedHeaderError, TruncatedDataError, OSError) as exc:
-        print(f"phasemax: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (
-        DegenerateInputError,
-        ZeroSignalError,
-        ZeroSeriesError,
-        ZeroVarianceError,
-        NonFiniteError,
-    ) as exc:
-        print(f"phasemax: error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except UnsupportedFeatureError as exc:
-        print(f"phasemax: error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return getattr(exc, "exit_code", 3)
 
 
 def console_main() -> None:

@@ -2,15 +2,25 @@
 
 
 class PhasemaxError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the ``phasemax`` exit status for the error; the
+    codes are listed in ``phasemax.cli``.
+    """
+
+    exit_code = 4
 
 
 class InvalidSpecError(PhasemaxError, ValueError):
     """A generator or run configuration failed validation."""
 
+    exit_code = 2
+
 
 class DimensionMismatchError(PhasemaxError, ValueError):
     """Operands have incompatible shapes or channel counts."""
+
+    exit_code = 2
 
 
 class NonFiniteError(PhasemaxError, ValueError):
@@ -43,6 +53,8 @@ class ParseError(PhasemaxError, ValueError):
     ``line`` and ``column`` are 1-based positions in the input file.
     """
 
+    exit_code = 3
+
     def __init__(self, message, line=None, column=None):
         super().__init__(message)
         self.line = line
@@ -56,6 +68,8 @@ class RaggedRowsError(ParseError):
 class MalformedHeaderError(PhasemaxError, ValueError):
     """A binary file header field is missing or unparseable."""
 
+    exit_code = 3
+
     def __init__(self, field, message=None):
         super().__init__(message or f"malformed header field: {field}")
         self.field = field
@@ -64,10 +78,16 @@ class MalformedHeaderError(PhasemaxError, ValueError):
 class UnsupportedFeatureError(PhasemaxError, ValueError):
     """The file uses a format feature this reader does not support."""
 
+    exit_code = 5
+
 
 class TruncatedDataError(PhasemaxError, ValueError):
     """The file ends before the data promised by its header."""
 
+    exit_code = 3
+
 
 class OutOfBoundsError(PhasemaxError, IndexError):
     """A channel index or sample range is outside the recording."""
+
+    exit_code = 2

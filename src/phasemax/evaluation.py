@@ -33,6 +33,7 @@ from .signals import (
     generate_sources,
     mix,
 )
+from .whitening import _check_settings
 
 # Samples per block of the correlation pass: big enough for matrix
 # products to dominate, small enough that the centred blocks stay small.
@@ -152,7 +153,8 @@ def cross_method_correlations(a: SeparationResult, b: SeparationResult) -> Assoc
 class MethodSpec:
     """One separation method entry in a Monte-Carlo comparison.
 
-    ``name`` is ``"maximum"`` or ``"pca"``.  ``whitening``/``order``
+    ``name`` is ``"maximum"`` or ``"pca"``.  ``whitening`` (one of
+    ``whitening.METHODS``; None means ``"gram_schmidt"``) and ``order``
     apply to the maximum method, ``order`` only with Gram-Schmidt
     whitening; ``centered`` (a bool) applies to the PCA baseline, which
     then separates ``center(signal)``.  A setting that cannot apply is
@@ -160,7 +162,7 @@ class MethodSpec:
     """
 
     name: str
-    whitening: str = "gram_schmidt"
+    whitening: str | None = None
     order: tuple | None = None
     centered: bool = False
 
@@ -171,8 +173,12 @@ class MethodSpec:
             raise InvalidSpecError(f"centered must be a boolean, got {self.centered!r}")
         if self.centered and self.name != "pca":
             raise InvalidSpecError("centered applies to the pca method only")
-        if self.order is not None and (self.name, self.whitening) != ("maximum", "gram_schmidt"):
-            raise InvalidSpecError("order applies to maximum with gram_schmidt whitening only")
+        if self.name == "pca" and (self.whitening, self.order) != (None, None):
+            raise InvalidSpecError("whitening and order apply to the maximum method only")
+        if self.name == "maximum":
+            if self.whitening is None:
+                object.__setattr__(self, "whitening", "gram_schmidt")  # frozen dataclass
+            _check_settings(self.whitening, self.order)
 
     @property
     def label(self) -> str:

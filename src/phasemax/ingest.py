@@ -285,6 +285,25 @@ _SIGNAL_FIELDS = (
     ("signal_reserved", 32),
 )
 
+# The numeric header fields and their types; every other field is text.
+_NUMBERS = {
+    "header_bytes": int,
+    "n_records": int,
+    "record_duration": float,
+    "n_signals": int,
+    "physical_min": float,
+    "physical_max": float,
+    "digital_min": int,
+    "digital_max": int,
+    "samples_per_record": int,
+}
+
+# Fixed-header numbers checked as they are parsed: (rule, predicate).
+_RANGES = {
+    "record_duration": ("positive and finite", lambda v: 0.0 < v < np.inf),
+    "n_signals": (">= 1", lambda v: v >= 1),
+}
+
 
 @dataclass(frozen=True)
 class EdfHeader:
@@ -308,25 +327,44 @@ class EdfHeader:
     samples_per_record: tuple
 
 
-def _ascii(raw: bytes, field: str) -> str:
-    try:
-        return raw.decode("ascii").strip()
-    except UnicodeDecodeError:
-        raise MalformedHeaderError(field, f"header field {field} is not ASCII") from None
+def _split(raw: bytes, table, count: int) -> dict:
+    """Header bytes -> ``{field: [count stripped values]}``; blocks are stored field-major."""
+    values, offset = {}, 0
+    for name, size in table:
+        try:
+            values[name] = [
+                raw[i : i + size].decode("ascii").strip()
+                for i in range(offset, offset + count * size, size)
+            ]
+        except UnicodeDecodeError:
+            raise MalformedHeaderError(name, f"header field {name} is not ASCII") from None
+        offset += count * size
+    return values
 
 
-def _int_field(text: str, field: str) -> int:
+def _join(values: dict, table, count: int) -> bytes:
+    """Inverse of ``_split``: each value padded to its field width; a field not given is blank."""
+    out = []
+    for name, size in table:
+        for text in values.get(name, [""] * count):
+            raw = text.encode("ascii")
+            if len(raw) > size:
+                raise MalformedHeaderError(name, f"{name} value {text!r} exceeds {size} bytes")
+            out.append(raw.ljust(size))
+    return b"".join(out)
+
+
+def _number(name: str, text: str):
+    """Parse numeric header field ``name`` as its ``_NUMBERS`` type and check its range."""
+    kind = _NUMBERS[name]
     try:
-        return int(text)
+        value = kind(text)
     except ValueError:
-        raise MalformedHeaderError(field, f"header field {field}: {text!r} is not an integer") from None
-
-
-def _float_field(text: str, field: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise MalformedHeaderError(field, f"header field {field}: {text!r} is not a number") from None
+        what = "an integer" if kind is int else "a number"
+        raise MalformedHeaderError(name, f"header field {name}: {text!r} is not {what}") from None
+    if name in _RANGES and not _RANGES[name][1](value):
+        raise MalformedHeaderError(name, f"{name} must be {_RANGES[name][0]}, got {value}")
+    return value
 
 
 def read_edf_header(fh: io.BufferedReader) -> EdfHeader:
@@ -334,26 +372,15 @@ def read_edf_header(fh: io.BufferedReader) -> EdfHeader:
     raw = fh.read(256)
     if len(raw) < 256:
         raise MalformedHeaderError("header", "file shorter than the 256-byte EDF header")
-    fields = {}
-    offset = 0
-    for name, size in _FIXED_FIELDS:
-        fields[name] = _ascii(raw[offset : offset + size], name)
-        offset += size
-
-    header_bytes = _int_field(fields["header_bytes"], "header_bytes")
-    n_records = _int_field(fields["n_records"], "n_records")
-    record_duration = _float_field(fields["record_duration"], "record_duration")
-    if not 0.0 < record_duration < np.inf:
-        raise MalformedHeaderError(
-            "record_duration", f"record_duration must be positive and finite, got {record_duration}"
-        )
-    n_signals = _int_field(fields["n_signals"], "n_signals")
-    if n_signals < 1:
-        raise MalformedHeaderError("n_signals", f"n_signals must be >= 1, got {n_signals}")
-    if header_bytes != 256 + 256 * n_signals:
+    fields = {
+        name: _number(name, text) if name in _NUMBERS else text
+        for name, (text,) in _split(raw, _FIXED_FIELDS, 1).items()
+    }
+    n_signals = fields["n_signals"]
+    if fields["header_bytes"] != 256 + 256 * n_signals:
         raise MalformedHeaderError(
             "header_bytes",
-            f"header_bytes is {header_bytes}, expected {256 + 256 * n_signals} for {n_signals} signals",
+            f"header_bytes is {fields['header_bytes']}, expected {256 + 256 * n_signals} for {n_signals} signals",
         )
     if fields["reserved"].startswith("EDF+D"):
         raise UnsupportedFeatureError("discontinuous EDF+D recordings are not supported")
@@ -361,51 +388,24 @@ def read_edf_header(fh: io.BufferedReader) -> EdfHeader:
     raw_signals = fh.read(256 * n_signals)
     if len(raw_signals) < 256 * n_signals:
         raise MalformedHeaderError("signal_header", "file ends inside the signal headers")
-    per_signal = {}
-    offset = 0
-    for name, size in _SIGNAL_FIELDS:  # fields are stored field-major
-        values = []
-        for _ in range(n_signals):
-            values.append(_ascii(raw_signals[offset : offset + size], name))
-            offset += size
-        per_signal[name] = values
-
-    physical_min = tuple(_float_field(v, "physical_min") for v in per_signal["physical_min"])
-    physical_max = tuple(_float_field(v, "physical_max") for v in per_signal["physical_max"])
-    digital_min = tuple(_int_field(v, "digital_min") for v in per_signal["digital_min"])
-    digital_max = tuple(_int_field(v, "digital_max") for v in per_signal["digital_max"])
-    samples_per_record = tuple(
-        _int_field(v, "samples_per_record") for v in per_signal["samples_per_record"]
-    )
+    per_signal = {
+        name: tuple(_number(name, text) if name in _NUMBERS else text for text in texts)
+        for name, texts in _split(raw_signals, _SIGNAL_FIELDS, n_signals).items()
+    }
+    digital_min, digital_max = per_signal["digital_min"], per_signal["digital_max"]
     for i in range(n_signals):
         if digital_max[i] <= digital_min[i]:
             raise MalformedHeaderError(
                 "digital_range",
                 f"signal {i + 1}: digital max {digital_max[i]} must exceed digital min {digital_min[i]}",
             )
-        if samples_per_record[i] < 1:
+        if per_signal["samples_per_record"][i] < 1:
             raise MalformedHeaderError(
                 "samples_per_record", f"signal {i + 1}: samples_per_record must be >= 1"
             )
-
-    return EdfHeader(
-        version=fields["version"],
-        patient_id=fields["patient_id"],
-        recording_id=fields["recording_id"],
-        start_date=fields["start_date"],
-        start_time=fields["start_time"],
-        header_bytes=header_bytes,
-        reserved=fields["reserved"],
-        n_records=n_records,
-        record_duration=record_duration,
-        n_signals=n_signals,
-        labels=tuple(per_signal["label"]),
-        physical_min=physical_min,
-        physical_max=physical_max,
-        digital_min=digital_min,
-        digital_max=digital_max,
-        samples_per_record=samples_per_record,
-    )
+    # the header keeps the labels and the numeric signal fields
+    kept = {name: per_signal[name] for name in _NUMBERS if name in per_signal}
+    return EdfHeader(**fields, labels=per_signal["label"], **kept)
 
 
 def _resolve_channels(header: EdfHeader, channel_selection) -> list:
@@ -507,13 +507,6 @@ def read_edf(path, channels=None, max_samples: int | None = None) -> Recording:
     )
 
 
-def _padded(text: str, size: int, field: str) -> bytes:
-    raw = text.encode("ascii")
-    if len(raw) > size:
-        raise MalformedHeaderError(field, f"{field} value {text!r} exceeds {size} bytes")
-    return raw.ljust(size)
-
-
 def _number_field(value: float, field: str) -> str:
     """Shortest decimal text for a float that fits an 8-byte EDF field."""
     for digits in range(7, 0, -1):
@@ -561,52 +554,36 @@ def write_edf(
         ranges.append((pmin, pmax))
 
     duration = 1.0 if rec.sample_rate is None else spr / rec.sample_rate
-    header = b"".join(
-        (
-            _padded("0", 8, "version"),
-            _padded("synthetic", 80, "patient_id"),
-            _padded("phasemax test writer", 80, "recording_id"),
-            _padded("01.01.00", 8, "start_date"),
-            _padded("00.00.00", 8, "start_time"),
-            _padded(str(256 + 256 * n), 8, "header_bytes"),
-            _padded("", 44, "reserved"),
-            _padded(str(n_records), 8, "n_records"),
-            _padded(_number_field(duration, "record_duration"), 8, "record_duration"),
-            _padded(str(n), 4, "n_signals"),
-        )
-    )
-    signal_header = b"".join(
-        (
-            b"".join(_padded(rec.labels[i], 16, "label") for i in range(n)),
-            b"".join(_padded("", 80, "transducer") for _ in range(n)),
-            b"".join(_padded("", 8, "physical_dim") for _ in range(n)),
-            b"".join(_padded(_number_field(ranges[i][0], "physical_min"), 8, "physical_min") for i in range(n)),
-            b"".join(_padded(_number_field(ranges[i][1], "physical_max"), 8, "physical_max") for i in range(n)),
-            b"".join(_padded(str(dmin), 8, "digital_min") for _ in range(n)),
-            b"".join(_padded(str(dmax), 8, "digital_max") for _ in range(n)),
-            b"".join(_padded("", 80, "prefiltering") for _ in range(n)),
-            b"".join(_padded(str(spr), 8, "samples_per_record") for _ in range(n)),
-            b"".join(_padded("", 32, "signal_reserved") for _ in range(n)),
-        )
-    )
+    fixed = {
+        "version": "0",
+        "patient_id": "synthetic",
+        "recording_id": "phasemax test writer",
+        "start_date": "01.01.00",
+        "start_time": "00.00.00",
+        "header_bytes": str(256 + 256 * n),
+        "n_records": str(n_records),
+        "record_duration": _number_field(duration, "record_duration"),
+        "n_signals": str(n),
+    }
+    per_signal = {
+        "label": rec.labels,
+        "physical_min": [_number_field(pmin, "physical_min") for pmin, _ in ranges],
+        "physical_max": [_number_field(pmax, "physical_max") for _, pmax in ranges],
+        "digital_min": [str(dmin)] * n,
+        "digital_max": [str(dmax)] * n,
+        "samples_per_record": [str(spr)] * n,
+    }
+    header = _join({name: [text] for name, text in fixed.items()}, _FIXED_FIELDS, 1)
+    header += _join(per_signal, _SIGNAL_FIELDS, n)
 
-    # Re-parse the written physical ranges so digitization uses exactly
-    # what a reader will see.
-    written_ranges = [
-        (
-            float(_number_field(pmin, "physical_min")),
-            float(_number_field(pmax, "physical_max")),
-        )
-        for pmin, pmax in ranges
-    ]
     records = np.empty((n_records, n * spr), dtype="<i2")
     for i in range(n):
-        pmin, pmax = written_ranges[i]
+        # digitize with the physical range exactly as a reader will parse it
+        pmin, pmax = float(per_signal["physical_min"][i]), float(per_signal["physical_max"][i])
         scaled = (data[i] - pmin) * (dmax - dmin) / (pmax - pmin) + dmin
         digital = np.clip(np.rint(scaled), dmin, dmax).astype("<i2")
         records[:, i * spr : (i + 1) * spr] = digital.reshape(n_records, spr)
 
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(signal_header)
         fh.write(records.tobytes())

@@ -1,8 +1,9 @@
 """PCA baseline separator.
 
-Eigenanalysis of the second moment matrix of the data, with projections
-onto the eigenvectors as source estimates, ordered by variance.  Two
-deliberate conventions:
+Estimates are the projections of the data onto the eigenvectors of its
+second moment matrix, ordered by variance.  The eigenanalysis and its
+rank cut are the ones PCA whitening uses (``whitening``); this module
+only adds the residual-energy trace.  Two deliberate conventions:
 
 * no normalization of the input channels (normalizing fixes the
   eigenvectors regardless of the mixture and defeats separation);
@@ -15,17 +16,10 @@ deliberate conventions:
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DegenerateInputError
-from .numerics import symmetric_eig
 from .separation import SeparationResult, _result
 from .signals import MultichannelSignal
-from .whitening import WhiteningTransform, second_moment
-
-# Eigenvalues below this fraction of the largest are treated as rank
-# deficiency and their components are dropped.
-_RANK_TOL = 1e-12
+# second_moment stays importable from here: it is the baseline's matrix.
+from .whitening import WhiteningTransform, _principal_components, second_moment
 
 
 def pca_separate(signal: MultichannelSignal) -> SeparationResult:
@@ -33,7 +27,7 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
 
     Estimate k's series is ``eigenvector_k . x[n]``, with ``x`` the data
     as given, and estimates are ordered by descending eigenvalue.
-    Eigenpairs whose eigenvalue falls below 1e-12 of the largest are
+    Eigenpairs under the rank cut that PCA whitening also applies are
     dropped, so rank-deficient input yields as many estimates as the
     numerical rank.
 
@@ -42,20 +36,9 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
     DegenerateInputError
         If the second moment matrix has no positive eigenvalue at all.
     """
-    eig = symmetric_eig(second_moment(signal))
-    eigenvalues = eig.eigenvalues
-    if eigenvalues[0] <= 0.0:
-        raise DegenerateInputError("second moment matrix has no positive eigenvalue")
-    keep = np.flatnonzero(eigenvalues > _RANK_TOL * eigenvalues[0])
-
-    energies = [float((signal.data**2).sum())]
-    found = []
-    rows = np.empty((len(keep), signal.n_samples))
-    for k in keep:
-        direction = eig.eigenvectors[:, k].copy()
-        series = np.matmul(direction, signal.data, out=rows[len(found)])
-        found.append((direction, None, None))
-        energies.append(energies[-1] - float((series**2).sum()))
-    return _result(
-        found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels)
-    )
+    energies = [float((signal.data**2).sum())]  # before the projection, to keep the peak low
+    vectors, rows = _principal_components(signal)
+    for row in rows:
+        energies.append(energies[-1] - float((row**2).sum()))
+    found = [(direction, None, None) for direction in vectors.T.copy()]
+    return _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))

@@ -200,7 +200,8 @@ def separate_maximum(
         working data is never re-whitened between deflation steps and
         stays in N coordinates throughout.
     order : sequence of int, optional
-        1-based channel order for Gram-Schmidt whitening.
+        1-based channel order for Gram-Schmidt whitening; with any other
+        whitening it is an ``InvalidSpecError``.
 
     At most one source is extracted per channel; extraction stops
     earlier once the residual energy falls below ``DEFAULT_ENERGY_FLOOR``

@@ -34,6 +34,10 @@ from .signals import MultichannelSignal
 
 METHODS = ("none", "gram_schmidt", "pca")
 
+# Eigenvalues at or below this fraction of the largest count as rank
+# deficiency: PCA whitening refuses them, the PCA baseline drops them.
+_RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class WhiteningTransform:
@@ -110,6 +114,20 @@ def second_moment(signal: MultichannelSignal) -> np.ndarray:
     return 0.5 * (c + c.T)
 
 
+def _principal_components(signal: MultichannelSignal):
+    """``(vectors, vectors.T @ data)`` for the second-moment eigenvectors above the rank cut.
+
+    Columns are in descending eigenvalue order.  Raises
+    ``DegenerateInputError`` if no eigenvalue is positive.
+    """
+    eig = symmetric_eig(second_moment(signal))
+    if eig.eigenvalues[0] <= 0.0:
+        raise DegenerateInputError("second moment matrix has no positive eigenvalue")
+    rank = int(np.count_nonzero(eig.eigenvalues > _RANK_TOL * eig.eigenvalues[0]))
+    vectors = eig.eigenvectors[:, :rank]
+    return vectors, vectors.T @ signal.data
+
+
 def whiten_pca(signal: MultichannelSignal):
     """Whiten via eigenanalysis of the uncentered second moment matrix.
 
@@ -122,25 +140,30 @@ def whiten_pca(signal: MultichannelSignal):
     DegenerateInputError
         If the second moment matrix is numerically rank deficient.
     """
-    data = signal.data
-    eig = symmetric_eig(second_moment(signal))
-    if eig.eigenvalues[0] <= 0.0 or eig.eigenvalues[-1] <= 1e-12 * eig.eigenvalues[0]:
+    vectors, components = _principal_components(signal)
+    if vectors.shape[1] < signal.n_channels:
         raise DegenerateInputError("second moment matrix is rank deficient")
-    components = eig.eigenvectors.T @ data
     norms = np.sqrt((components**2).sum(axis=1))
     if np.any(norms == 0.0):
         raise DegenerateInputError("a principal component series is identically zero")
-    forward = eig.eigenvectors.T / norms[:, np.newaxis]
+    forward = vectors.T / norms[:, np.newaxis]
     components /= norms[:, np.newaxis]  # in place: one N x M array fewer at the peak
     return MultichannelSignal._wrap(components), WhiteningTransform("pca", forward, None)
 
 
+def _check_settings(method: str, order) -> None:
+    """Raise ``InvalidSpecError`` for an unknown method or an order without Gram-Schmidt."""
+    if method not in METHODS:
+        raise InvalidSpecError(f"unknown whitening method {method!r}; expected one of {METHODS}")
+    if order is not None and method != "gram_schmidt":
+        raise InvalidSpecError(f"a channel order applies to gram_schmidt whitening only, not {method}")
+
+
 def apply_whitening(signal: MultichannelSignal, method: str, order=None):
     """Dispatch on method name; returns (whitened signal, transform)."""
+    _check_settings(method, order)
     if method == "none":
         return signal, WhiteningTransform.identity(signal.n_channels)
     if method == "gram_schmidt":
         return whiten_gram_schmidt(signal, order)
-    if method == "pca":
-        return whiten_pca(signal)
-    raise InvalidSpecError(f"unknown whitening method {method!r}; expected one of {METHODS}")
+    return whiten_pca(signal)

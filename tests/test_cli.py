@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phasemax import cli, errors
 from phasemax.cli import main, parse_channels, parse_mixing
 from phasemax.errors import InvalidSpecError
 from phasemax.ingest import read_matrix_text, write_edf, write_matrix_text
@@ -477,6 +478,7 @@ BAD_CONFIGS = {
     "mc-pca-order": mc_method({"method": "pca", "order": [1, 2]}),
     "mc-pca-whitening": mc_method({"method": "pca", "whitening": "pca"}),
     "mc-order-without-gram-schmidt": mc_method({**MAXIMUM, "whitening": "none", "order": [2, 1]}),
+    "mc-unknown-whitening": mc_method({**MAXIMUM, "whitening": "zca"}),
     "mc-method-missing": mc_method({"whitening": "none"}),
     "mc-method-list": mc_method({"method": ["pca"]}),
     "mc-noise_sd-negative": ("montecarlo", {**MC_CONFIG, "noise_sd": [-0.5]}),
@@ -486,6 +488,28 @@ BAD_CONFIGS = {
 
 
 OVERFLOW_TABLE = b"1e200 1\n1 1e200\n3 2\n"  # finite, but the squared radii overflow
+
+# The documented exit code of every error type (README "Exit codes").
+EXIT_CODES = {
+    "PhasemaxError": 4,
+    "InvalidSpecError": 2,
+    "DimensionMismatchError": 2,
+    "OutOfBoundsError": 2,
+    "ParseError": 3,
+    "RaggedRowsError": 3,
+    "MalformedHeaderError": 3,
+    "TruncatedDataError": 3,
+    "NonFiniteError": 4,
+    "NotSymmetricError": 4,
+    "DegenerateInputError": 4,
+    "ZeroSignalError": 4,
+    "ZeroSeriesError": 4,
+    "ZeroVarianceError": 4,
+    "UnsupportedFeatureError": 5,
+}
+ERROR_TYPES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PhasemaxError)
+]
 
 
 class TestExitCodeContract:
@@ -558,6 +582,34 @@ class TestExitCodeContract:
         args = ("--preset", "disjoint", "--noise-sd", "0.1", "--seed", "-1", tmp_path / "out.txt")
         assert run("gen", *args) == 2
         self.assert_clean_error(capsys)
+
+    def test_every_error_type_has_a_documented_code(self):
+        assert sorted(c.__name__ for c in ERROR_TYPES) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda c: c.__name__)
+    def test_every_error_type_exits_with_its_code(self, tmp_path, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_edf", fail)
+        assert run("edf", tmp_path / "in.edf", tmp_path / "out.txt") == EXIT_CODES[error.__name__]
+        err = capsys.readouterr().err
+        assert err.startswith("phasemax: error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("extra", [("--preset", "disjoint"), ("--n-samples", "50")])
+    def test_gen_config_with_preset_or_n_samples_exits_2(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "correlated"}))
+        out = tmp_path / "out.txt"
+        assert run("gen", "--config", cfg, *extra, out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_without_config_or_preset_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert run("gen", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["separate", "phase", "evaluate"])
     def test_non_ascii_matrix_exits_3(self, tmp_path, capsys, command):

@@ -276,12 +276,19 @@ class TestMethodSpec:
             dict(name="pca", order=(1, 2)),
             dict(name="maximum", whitening="none", order=(2, 1)),
             dict(name="maximum", whitening="pca", order=(2, 1)),
+            dict(name="maximum", whitening="zca"),
+            dict(name="pca", whitening="pca"),
+            dict(name="pca", whitening="gram_schmidt"),
             dict(name="ica"),
         ],
     )
     def test_setting_that_cannot_apply_is_rejected(self, fields):
         with pytest.raises(InvalidSpecError):
             MethodSpec(**fields)
+
+    def test_maximum_whitening_defaults_to_gram_schmidt(self):
+        assert MethodSpec("maximum") == MethodSpec("maximum", whitening="gram_schmidt")
+        assert MethodSpec("maximum").label == "maximum-gramschmidt"
 
     def test_order_with_gram_schmidt_accepted(self):
         assert MethodSpec("maximum", order=(2, 1)).order == (2, 1)

@@ -277,6 +277,38 @@ class TestEdf:
         assert header.samples_per_record == (32, 32)
         assert header.digital_min == (-32768, -32768)
 
+    def test_header_bytes_follow_the_edf_layout(self, tmp_path):
+        # every field spelled out at its EDF specification width, in file order
+        rec = Recording(MultichannelSignal([[0.0, 1, 2, 3], [4, 5, 6, 7]]), ("a", "lead2"), 2.0)
+        path = tmp_path / "golden.edf"
+        write_edf(path, rec, physical_range=(-1, 1), samples_per_record=2)
+        expected = b"".join(
+            (
+                b"0".ljust(8),  # version, bytes 0-7
+                b"synthetic".ljust(80),  # patient id, 8-87
+                b"phasemax test writer".ljust(80),  # recording id, 88-167
+                b"01.01.00",  # start date, 168-175
+                b"00.00.00",  # start time, 176-183
+                b"768".ljust(8),  # header bytes, 184-191
+                b" " * 44,  # reserved, 192-235
+                b"2".ljust(8),  # data records, 236-243
+                b"1".ljust(8),  # record duration in s, 244-251
+                b"2".ljust(4),  # signals, 252-255
+                b"a".ljust(16) + b"lead2".ljust(16),  # labels, 256-287
+                b" " * 160,  # transducer types, 80 each
+                b" " * 16,  # physical dimensions, 8 each
+                b"-1".ljust(8) * 2,  # physical minima
+                b"1".ljust(8) * 2,  # physical maxima
+                b"-32768".ljust(8) * 2,  # digital minima
+                b"32767".ljust(8) * 2,  # digital maxima
+                b" " * 160,  # prefiltering, 80 each
+                b"2".ljust(8) * 2,  # samples per record
+                b" " * 64,  # reserved, 32 each
+            )
+        )
+        assert len(expected) == 256 + 2 * 256
+        assert path.read_bytes()[:768] == expected
+
     def test_annotation_channel_rejected_when_selected(self, tmp_path):
         rec = Recording(
             MultichannelSignal(np.random.default_rng(5).normal(size=(2, 16))),
@@ -348,6 +380,17 @@ class TestEdfMalformed:
     def test_non_positive_record_duration(self, tmp_path, duration):
         raw = valid_edf_bytes(tmp_path)
         raw[244:252] = duration
+        path = tmp_path / "bad.edf"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedHeaderError) as info:
+            read_edf(path)
+        assert info.value.field == "record_duration"
+
+    @pytest.mark.parametrize("duration", [b"x       ", b"0       "], ids=["text", "zero"])
+    def test_bad_record_duration_reported_before_bad_signal_count(self, tmp_path, duration):
+        raw = valid_edf_bytes(tmp_path)
+        raw[244:252] = duration
+        raw[252:256] = b"abc "
         path = tmp_path / "bad.edf"
         path.write_bytes(raw)
         with pytest.raises(MalformedHeaderError) as info:

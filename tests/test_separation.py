@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from phasemax.errors import DimensionMismatchError, NonFiniteError, ZeroSignalError
+from phasemax.errors import (
+    DimensionMismatchError,
+    InvalidSpecError,
+    NonFiniteError,
+    ZeroSignalError,
+)
 from phasemax.separation import (
     DEFAULT_ENERGY_FLOOR,
     DirectionEstimate,
@@ -207,6 +212,11 @@ class TestSeparateMaximum:
         # nonzero values whose squares all underflow count as zero signal
         with pytest.raises(ZeroSignalError):
             separate_maximum(MultichannelSignal(np.full((2, 10), 1e-200)), whitening="none")
+
+    @pytest.mark.parametrize("whitening", ["none", "pca"])
+    def test_order_without_gram_schmidt_raises(self, oblique_mixture, whitening):
+        with pytest.raises(InvalidSpecError):
+            separate_maximum(oblique_mixture, whitening=whitening, order=(2, 1))
 
     def test_overflowing_energy_raises(self):
         # finite samples whose squared radii overflow to inf

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from phasemax.errors import DegenerateInputError, InvalidSpecError
+from phasemax.pca import pca_separate
 from phasemax.signals import (
     OBLIQUE_MIXING,
     MultichannelSignal,
+    NoiseSpec,
+    add_noise,
+    coincident_peaks_spec,
+    correlated_sources_spec,
     disjoint_sources_spec,
     generate_sources,
     mix,
@@ -107,6 +112,22 @@ class TestPcaWhitening:
         np.testing.assert_allclose(sample_gram(white), np.eye(2), atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "signal",
+    [
+        add_noise(mix(generate_sources(spec()), OBLIQUE_MIXING), NoiseSpec(0.01, 3))
+        for spec in (disjoint_sources_spec, correlated_sources_spec, coincident_peaks_spec)
+    ]
+    + [MultichannelSignal(np.random.default_rng(8).normal(size=(8, 5000)) ** 3)],
+    ids=["disjoint", "correlated", "coincident", "8x5000"],
+)
+def test_pca_whitening_normalizes_the_pca_baseline_series(signal):
+    # one eigenanalysis and one projection serve both: the bits agree
+    rows = pca_separate(signal).series_matrix
+    expected = rows / np.sqrt((rows**2).sum(axis=1))[:, np.newaxis]
+    np.testing.assert_array_equal(whiten_pca(signal)[0].data, expected)
+
+
 class TestWhiteningProperties:
     @pytest.mark.parametrize("method", ["gram_schmidt", "pca"])
     def test_full_rank_gram_identity(self, method):
@@ -153,6 +174,11 @@ class TestWhiteningProperties:
         sig = MultichannelSignal(np.ones((1, 4)))
         with pytest.raises(InvalidSpecError):
             apply_whitening(sig, "zca")
+
+    @pytest.mark.parametrize("method", ["none", "pca"])
+    def test_order_without_gram_schmidt_rejected(self, oblique_mixture, method):
+        with pytest.raises(InvalidSpecError):
+            apply_whitening(oblique_mixture, method, order=(2, 1))
 
     def test_identity_constructor(self):
         t = WhiteningTransform.identity(3)
