@@ -22,6 +22,7 @@ exporter.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidSpecError,
     MalformedHeaderError,
+    NonFiniteError,
     OutOfBoundsError,
     ParseError,
     RaggedRowsError,
@@ -69,7 +71,11 @@ class Recording:
 # form feed it would silently merge two rows into one).
 _LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _SCAN_BLOCK = 1 << 20
+# What makes a CSV line blank to the token loop: the ASCII characters
+# str.strip() removes, and the delimiter.
+_CSV_BLANKS = "".join(c for c in map(chr, range(128)) if c.isspace()) + ","
 _WRITE_BLOCK = 32768  # values per formatting call: 4096 rows of 8 channels
+_MAX_TEXT = 24  # longest _NUMBER_FORMAT text of a float64, e.g. -2.2250738585072014e-308
 
 
 def _tokenize(line, delimiter):
@@ -124,7 +130,9 @@ def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) 
     or \\x1c-\\x1e line break), that it rejects (a bad token, a ragged
     row, no data) or whose header is not as wide as its rows goes
     through a token-by-token reader instead, which gives the same
-    result or names the line and column of the fault.
+    result or names the line and column of the fault.  A CSV file that
+    loadtxt rejects is first given to it once more without its lines of
+    only blanks and commas, which the token loop skips.
 
     Parameters
     ----------
@@ -160,11 +168,23 @@ def _loadtxt(path, delimiter):
     if _needs_token_loop(path):
         return None
     labels, skiprows = _header(path, delimiter)
+    table = _try_loadtxt(path, delimiter, skiprows)
+    if table is None and delimiter is not None:
+        # given the path, loadtxt reads in chunks; given lines, one at a
+        # time, so blank lines are filtered out only after a rejection
+        table = _try_loadtxt(_non_blank_csv_lines(path, skiprows), delimiter, 0)
+    if table is None or (labels is not None and len(labels) != table.shape[1]):
+        return None
+    return np.ascontiguousarray(table.T), labels
+
+
+def _try_loadtxt(source, delimiter, skiprows):
+    """``np.loadtxt`` of ``source`` as a 2-D float table, or None if it rejects it."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns, not raises, on an empty table
-            table = np.loadtxt(
-                path,
+            return np.loadtxt(
+                source,
                 dtype=float,
                 comments=None,
                 delimiter=delimiter,
@@ -174,9 +194,14 @@ def _loadtxt(path, delimiter):
             )
     except (ValueError, Warning):
         return None
-    if labels is not None and len(labels) != table.shape[1]:
-        return None
-    return np.ascontiguousarray(table.T), labels
+
+
+def _non_blank_csv_lines(path, skiprows):
+    """The lines after the first ``skiprows`` that hold more than blanks and commas."""
+    with open(path, "r", encoding="ascii") as fh:
+        for line in itertools.islice(fh, skiprows, None):
+            if line.strip(_CSV_BLANKS):
+                yield line
 
 
 def _read_tokens(path, delimiter, skip_columns) -> Recording:
@@ -233,26 +258,84 @@ def format_number(x: float) -> str:
     return _NUMBER_FORMAT % float(x)
 
 
+def _distinct_codes(arr):
+    """``(values, codes)`` with ``arr`` equal bitwise to ``values[codes]``, or None.
+
+    ``values`` holds each channel's distinct float64 bit patterns (-0.0
+    apart from 0.0), channel after channel; ``codes`` is int32.  None as
+    soon as a channel has more distinct values than a quarter of its
+    samples: the table of texts (25 bytes a value) and the codes would
+    then cost more memory than one copy of the input.
+    """
+    n, m = arr.shape
+    if n == 0:
+        return None
+    codes = np.empty((n, m), dtype=np.int32)
+    keys, offset = [], 0
+    for i in range(n):
+        distinct, inverse = np.unique(arr[i].view(np.int64), return_inverse=True)
+        if 4 * len(distinct) > m:
+            return None
+        codes[i] = inverse + offset
+        keys.append(distinct)
+        offset += len(distinct)
+    return np.concatenate(keys).view(np.float64), codes
+
+
+def _write_formatted(fh, rows, delimiter, step):
+    """Write ``rows`` (samples x channels), ``step`` rows per ``%`` call."""
+    row_format = delimiter.join([_NUMBER_FORMAT] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        fh.write(((row_format * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
+
+
+def _write_gathered(fh, values, codes, delimiter, step):
+    """Write ``values[codes]``, each distinct value formatted once, ``step`` rows per gather."""
+    # A value's text NUL-padded to _MAX_TEXT bytes, then a slot for the
+    # delimiter, or the newline after a row's last value; NULs are dropped.
+    sep = np.frombuffer(delimiter.encode("ascii"), dtype=np.uint8)
+    ends = np.zeros((codes.shape[0], max(1, len(sep))), dtype=np.uint8)
+    ends[:-1, : len(sep)] = sep
+    ends[-1, 0] = ord("\n")
+    width = _MAX_TEXT + ends.shape[1]
+    table = np.empty(len(values), dtype=f"S{width}")
+    for start in range(0, len(values), _WRITE_BLOCK):  # bounds the Python strings alive
+        chunk = values[start : start + _WRITE_BLOCK]
+        texts = ((_NUMBER_FORMAT + "\n") * len(chunk)) % tuple(chunk.tolist())
+        table[start : start + len(chunk)] = texts.encode("ascii").split()
+    table = table.view(np.uint8).reshape(len(values), width)
+    for start in range(0, codes.shape[1], step):
+        block = table[codes[:, start : start + step].T]
+        block[:, :, _MAX_TEXT:] = ends
+        fh.write(block[block != 0].tobytes())
+
+
 def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
     """Write channels-as-columns 17-digit text, optionally with a header.
 
-    A 1-D array is one channel and reads back as a 1 x M matrix.  Each
-    block of about ``_WRITE_BLOCK`` values is formatted by one ``%`` call.
+    A 1-D array is one channel and reads back as a 1 x M matrix.  Every
+    value is written as ``format_number`` writes it, in blocks of about
+    ``_WRITE_BLOCK`` values.  When no channel has more distinct values
+    than a quarter of its samples (a dequantised EDF recording), each
+    distinct value is formatted once and the blocks are gathered from
+    that table of texts; otherwise each block is formatted by one ``%``
+    call.  Both paths write the same bytes.
     """
     arr = data.data if isinstance(data, MultichannelSignal) else np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis]
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 1-D or 2-D table, got shape {arr.shape}")
-    rows = arr.T
-    row_format = delimiter.join([_NUMBER_FORMAT] * rows.shape[1]) + "\n"
-    step = max(1, _WRITE_BLOCK // max(1, rows.shape[1]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    step = max(1, _WRITE_BLOCK // max(1, arr.shape[0]))
+    distinct = _distinct_codes(arr)
+    with open(path, "wb") as fh:
         if labels is not None:
-            fh.write(delimiter.join(str(l) for l in labels) + "\n")
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+            fh.write((delimiter.join(str(l) for l in labels) + "\n").encode("ascii"))
+        if distinct is None:
+            _write_formatted(fh, arr.T, delimiter, step)
+        else:
+            _write_gathered(fh, *distinct, delimiter, step)
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +572,27 @@ def read_edf(path, channels=None, max_samples: int | None = None) -> Recording:
 
     table = np.frombuffer(payload, dtype="<i2").reshape(n_records, samples_per_record)
     offsets = np.concatenate(([0], np.cumsum(header.samples_per_record)))
+    n_samples = n_records * header.samples_per_record[indices[0]]
+    if max_samples is not None:
+        n_samples = min(n_samples, max_samples)
 
-    out = []
-    for i in indices:
-        digital = table[:, offsets[i] : offsets[i + 1]].reshape(-1).astype(float)
+    data = np.empty((len(indices), n_samples))
+    for row, i in zip(data, indices):
         span = (header.physical_max[i] - header.physical_min[i]) / (
             header.digital_max[i] - header.digital_min[i]
         )
-        physical = (digital - header.digital_min[i]) * span + header.physical_min[i]
-        out.append(physical if max_samples is None else physical[:max_samples])
+        # in place, in the order of (d - dig_min) * span + phys_min; the
+        # int16 samples become float64 before the subtraction
+        row[:] = table[:, offsets[i] : offsets[i + 1]].reshape(-1)[:n_samples]
+        row -= header.digital_min[i]
+        row *= span
+        row += header.physical_min[i]
+        if not np.isfinite(row).all():
+            raise NonFiniteError("signal contains non-finite values")
 
     rate = header.samples_per_record[indices[0]] / header.record_duration
     return Recording(
-        MultichannelSignal(np.vstack(out)),
+        MultichannelSignal._wrap(data),
         tuple(header.labels[i] for i in indices),
         rate,
     )

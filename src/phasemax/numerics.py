@@ -36,7 +36,9 @@ def _as_finite_array(values, name, ndim):
         )
     if arr.size == 0:
         raise DimensionMismatchError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max: both are finite only if every value
+    # is, and neither reduction builds a mask of the whole array
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 

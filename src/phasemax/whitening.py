@@ -92,7 +92,9 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     """
     n = signal.n_channels
     order = _validated_order(order, n)
-    rows = signal.data[[i - 1 for i in order], :]
+    rows = signal.data  # fancy indexing would copy all N x M values, even for 1..N
+    if order != tuple(range(1, n + 1)):
+        rows = rows[[i - 1 for i in order], :]
     basis, coeffs = gram_schmidt_orthonormal(rows)
     # rows == coeffs @ basis, so the whitened channels are
     # coeffs^-1 @ P @ data with P the order permutation.

@@ -389,6 +389,15 @@ class TestEdfCommand:
         assert run("edf", path, tmp_path / "o.txt") == 3
         assert "record_duration" in capsys.readouterr().err
 
+    def test_infinite_physical_range_exits_4(self, tmp_path, capsys):
+        path, _ = self.make_edf(tmp_path)
+        raw = bytearray(path.read_bytes())
+        offset = 256 + 3 * (16 + 80 + 8)  # physical_min then physical_max of 3 signals
+        raw[offset : offset + 48] = b"-1e308  " * 3 + b"1e308   " * 3
+        path.write_bytes(raw)
+        assert run("edf", path, tmp_path / "o.txt") == 4
+        assert capsys.readouterr().err == "phasemax: error: signal contains non-finite values\n"
+
     @pytest.mark.parametrize("samples", [-10, 0])
     def test_non_positive_samples_exits_2(self, tmp_path, samples):
         path, _ = self.make_edf(tmp_path)

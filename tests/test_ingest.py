@@ -1,11 +1,18 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasemax import ingest
 from phasemax.errors import (
     DimensionMismatchError,
     InvalidSpecError,
     MalformedHeaderError,
+    NonFiniteError,
     OutOfBoundsError,
     ParseError,
     RaggedRowsError,
@@ -132,11 +139,33 @@ AWKWARD = np.array(
 )
 
 
+# Values whose text is easy to get wrong, for tables a caller passes raw.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+           np.nan, np.inf, -np.inf, 0.1, -1.0 / 3.0, 2.0**53, 1e16, 123456789.0]
+
+
 def oracle_lines(data, labels=None, delimiter=" "):
     """The table written one value at a time, as ``format(v, ".17g")``."""
     header = [] if labels is None else [delimiter.join(labels)]
     rows = [delimiter.join(format(float(v), ".17g") for v in row) for row in np.asarray(data).T]
     return "".join(line + "\n" for line in header + rows)
+
+
+@st.composite
+def channel_tables(draw):
+    """N x M tables, or 1-D ones: the first channels each repeat at most
+    M / 4 drawn values, the rest draw every value, so tables fall on both
+    sides of the writer's cut, also with sparse channels before a varied one."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    n_sparse = draw(st.integers(0, n))
+    value = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    rows = []
+    for i in range(n):
+        few = draw(st.lists(value, min_size=1, max_size=max(1, m // 4)))
+        picks = st.sampled_from(few) if i < n_sparse else value
+        rows.append(draw(st.lists(picks, min_size=m, max_size=m)))
+    table = np.array(rows, dtype=float).reshape(n, m)
+    return table[0] if n == 1 and draw(st.booleans()) else table
 
 
 class TestWriteMatrixText:
@@ -161,6 +190,46 @@ class TestWriteMatrixText:
         path = tmp_path / "blocks.txt"
         write_matrix_text(path, AWKWARD, labels=["a", "b"])
         assert path.read_bytes() == oracle_lines(AWKWARD, ["a", "b"]).encode("ascii")
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 7, 10, 11, 40, 41])
+    def test_gathered_block_boundaries_match_oracle(self, tmp_path, monkeypatch, block):
+        # 2 x 20 values, 5 distinct per channel, so each block is gathered from
+        # the table of texts, which is itself formatted in blocks of this size
+        table = np.tile(AWKWARD, 4)
+        assert ingest._distinct_codes(table) is not None
+        monkeypatch.setattr(ingest, "_WRITE_BLOCK", block)
+        path = tmp_path / "blocks.txt"
+        write_matrix_text(path, table, labels=["a", "b"])
+        assert path.read_bytes() == oracle_lines(table, ["a", "b"]).encode("ascii")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        table=channel_tables(),
+        delimiter=st.sampled_from([" ", ","]),
+        labelled=st.booleans(),
+        block=st.sampled_from([1, 3, 8, 32768]),
+    )
+    # the special values, each channel with a quarter of its samples distinct
+    @example(table=np.reshape(SPECIAL[:12] * 4, (3, 16)), delimiter=",", labelled=True, block=5)
+    # sparse channels first, then one too varied: the fallback after two unique calls
+    @example(
+        table=np.array([[-0.0] * 8, [1e308, 5e-324] * 4, SPECIAL[:8]]),
+        delimiter=" ",
+        labelled=False,
+        block=32768,
+    )
+    def test_matches_per_value_oracle_on_either_side_of_the_cut(
+        self, table, delimiter, labelled, block
+    ):
+        rows = np.atleast_2d(table)
+        gathered = all(4 * len(np.unique(row.view(np.int64))) <= rows.shape[1] for row in rows)
+        assert (ingest._distinct_codes(rows) is not None) == gathered
+        labels = [f"c{i}" for i in range(len(rows))] if labelled else None
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_WRITE_BLOCK", block):
+            path = Path(tmp) / "table.txt"
+            write_matrix_text(path, table, labels=labels, delimiter=delimiter)
+            written = path.read_bytes()
+        assert written == oracle_lines(rows, labels, delimiter).encode("ascii")
 
     def test_no_samples_writes_only_the_labels(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -264,6 +333,30 @@ class TestEdf:
         write_edf(path, synthetic_recording(2, 20))
         with pytest.raises(OutOfBoundsError):
             read_edf(path, max_samples=max_samples)
+
+    @pytest.mark.parametrize(
+        "channels, max_samples", [(None, None), (None, 200), ([3, 1], 77), ([2], 1)]
+    )
+    def test_physical_values_are_the_affine_formula_bitwise(self, tmp_path, channels, max_samples):
+        # per-channel physical ranges, an asymmetric digital range, 3 records
+        rng = np.random.default_rng(8)
+        data = np.cumsum(rng.normal(size=(3, 288)), axis=1) * [[1.0], [1e-3], [250.0]]
+        path = tmp_path / "affine.edf"
+        rec = Recording(MultichannelSignal(data), ("a", "b", "c"), 96.0)
+        write_edf(path, rec, digital_range=(-1000, 3000), samples_per_record=96)
+        with open(path, "rb") as fh:
+            header = read_edf_header(fh)
+            digital = np.frombuffer(fh.read(), "<i2").reshape(3, 3, 96)  # record, signal, sample
+        got = read_edf(path, channels=channels, max_samples=max_samples).signal.data
+        selected = range(3) if channels is None else [c - 1 for c in channels]
+        assert got.shape == (len(selected), max_samples or 288)
+        for row, i in zip(got, selected):
+            d = digital[:, i].reshape(-1).astype(float)
+            span = (header.physical_max[i] - header.physical_min[i]) / (
+                header.digital_max[i] - header.digital_min[i]
+            )
+            expected = (d - header.digital_min[i]) * span + header.physical_min[i]
+            assert row.tobytes() == expected[:max_samples].tobytes()
 
     def test_header_fields(self, tmp_path):
         rec = synthetic_recording(2, 64, rate=32.0)
@@ -396,6 +489,16 @@ class TestEdfMalformed:
         with pytest.raises(MalformedHeaderError) as info:
             read_edf(path)
         assert info.value.field == "record_duration"
+
+    def test_infinite_physical_range_is_non_finite(self, tmp_path):
+        raw = valid_edf_bytes(tmp_path)
+        # physical_min then physical_max of 2 signals, from 256 + 2*(16+80+8)
+        offset = 256 + 2 * (16 + 80 + 8)
+        raw[offset : offset + 32] = b"-1e308  -1e308  1e308   1e308   "
+        path = tmp_path / "bad.edf"
+        path.write_bytes(raw)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            read_edf(path)
 
     def test_truncated_data_records(self, tmp_path):
         raw = valid_edf_bytes(tmp_path)

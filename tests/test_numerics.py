@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ class TestGramSchmidt:
     def test_zero_row_raises(self):
         with pytest.raises(DegenerateInputError):
             gram_schmidt_orthonormal([[1.0, 0.0], [0.0, 0.0]])
+
+
+    def test_non_finite_value_raises_without_masking_the_whole_table(self):
+        rows = np.ones((32, 5000))
+        rows[-1, -1] = np.nan  # the last row, so every row is checked
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteError):
+                gram_schmidt_orthonormal(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size  # one bool per value would take rows.size bytes
 
 
 class TestSymmetricEig:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phasemax.errors import DegenerateInputError, InvalidSpecError
+from phasemax.numerics import gram_schmidt_orthonormal
 from phasemax.pca import pca_separate
 from phasemax.signals import (
     OBLIQUE_MIXING,
@@ -56,6 +59,22 @@ class TestGramSchmidtWhitening:
         np.testing.assert_allclose(
             transform.forward @ oblique_mixture.data, white.data, atol=1e-9
         )
+
+    def test_natural_order_allocates_no_n_by_m_array_but_the_basis(self):
+        # The rows are neither copied nor masked whole: besides the basis, the
+        # peak holds a residual row, its update and one row's finiteness mask,
+        # less than one N x M array of single bytes at N = 32.
+        data = np.random.default_rng(4).normal(size=(32, 5000))
+        signal = MultichannelSignal(data)
+        tracemalloc.start()
+        try:
+            white, _ = whiten_gram_schmidt(signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < white.data.nbytes + data.size
+        basis, _ = gram_schmidt_orthonormal(data[list(range(32))])  # a reordered copy
+        np.testing.assert_array_equal(white.data, basis)
 
     def test_rank_deficient_raises(self):
         sig = MultichannelSignal(np.vstack([np.arange(10.0), 2 * np.arange(10.0)]))
