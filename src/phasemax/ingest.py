@@ -74,7 +74,7 @@ _SCAN_BLOCK = 1 << 20
 # What makes a CSV line blank to the token loop: the ASCII characters
 # str.strip() removes, and the delimiter.
 _CSV_BLANKS = "".join(c for c in map(chr, range(128)) if c.isspace()) + ","
-_WRITE_BLOCK = 32768  # values per formatting call: 4096 rows of 8 channels
+_WRITE_BLOCK = 8192  # values per block: 1024 rows of 8 channels; _Formatter.words holds ~300 bytes a value
 _MAX_TEXT = 24  # longest _NUMBER_FORMAT text of a float64, e.g. -2.2250738585072014e-308
 
 
@@ -258,14 +258,202 @@ def format_number(x: float) -> str:
     return _NUMBER_FORMAT % float(x)
 
 
+# _NUMBER_FORMAT in numpy: the words of _Formatter.words and their tables.
+_WORDS = 6  # uint64 words a value takes
+_FREXP_MIN = -1073  # np.frexp exponent of 5e-324; that of the largest float64 is 1024
+_SPLIT = 2.0**27 + 1  # Dekker's splitter: a float64 times it gives two 26-bit halves
+_TIE = 2.0**-40  # closer to a half-integer than this, a value is formatted by `%`
+_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # the n low bytes
+# Indexed by the digit (0-16) the decimal point follows, 17 for no point:
+# the part of each 8-digit lane left of the point, and the "." placed in
+# the byte before the part right of it (or after the first digit).
+_POINTS = range(18)
+_LEFT1 = _BYTES[[i if 1 <= i <= 8 else 8 for i in _POINTS]]
+_LEFT2 = _BYTES[[i - 8 if 9 <= i <= 16 else 8 for i in _POINTS]]
+_DOT0 = np.array([ord(".") << 56 if i == 0 else 0 for i in _POINTS], dtype=np.uint64)
+_DOT1 = np.array([ord(".") << 8 * (i - 1) if 1 <= i <= 8 else 0 for i in _POINTS], dtype=np.uint64)
+_DOT2 = np.array([ord(".") << 8 * (i - 9) if 9 <= i <= 16 else 0 for i in _POINTS], dtype=np.uint64)
+# Indexed by the last digit (0-16) kept: the bytes kept of each lane.
+_KEEP1 = _BYTES[[min(i, 8) for i in range(17)]]
+_KEEP2 = _BYTES[[max(i - 8, 0) for i in range(17)]]
+# Indexed by -k for 1e-4 <= |x| < 1 (k the decimal exponent): "0.", "0.0"... in bytes 1-5.
+_LEADING = np.array([0] + [int.from_bytes(b"0." + b"0" * z, "little") << 8 for z in range(4)],
+                    dtype=np.uint64)
+_ASCII = np.uint64(0x3030303030303030)  # "0" in every byte
+
+
+def _ratio(p2, p10):
+    """``2**p2 * 10**p10`` as an integer numerator and denominator."""
+    return (1 << max(p2, 0)) * 10 ** max(p10, 0), (1 << max(-p2, 0)) * 10 ** max(-p10, 0)
+
+
+class _Formatter:
+    """``_NUMBER_FORMAT`` text of float64 arrays, computed in numpy.
+
+    A finite x = m * 2**e (0.5 <= m < 1) with k = floor(log10 2**(e-1))
+    lies in [10**k, 2 * 10**(k+1)).  Its 17 significant digits are the
+    integer nearest y = x * 10**(16-k-j), where j = 1 if x >= 10**(k+1)
+    and 0 otherwise, so that 1e16 <= y < 1e17.  y is m times the
+    constant 2**e * 10**(16-k-j), held as a double-double hi + lo, by
+    Dekker's exact two-product (Dekker 1971), with an error below
+    2**-46.  A y within ``_TIE`` of a half-integer (an exact decimal tie
+    or nearly one), a nan and an inf are formatted by ``%`` instead, so
+    every text is ``_NUMBER_FORMAT % x``, byte for byte.
+
+    The constants of an exponent are made from Python integers when the
+    exponent first occurs; one instance serves one table.
+    """
+
+    def __init__(self):
+        size = 1024 - _FREXP_MIN + 1
+        self.known = np.zeros(size, dtype=bool)
+        self.k = np.zeros(size, dtype=np.int64)
+        self.above = np.zeros(size)  # the least m with x >= 10**(k+1)
+        # hi split into its two halves, and lo; column 2 * (e - _FREXP_MIN) + j
+        self.hi_high, self.hi_low, self.lo = np.zeros((3, 2 * size))
+        # each number below 10**4 as its four digits, first digit in byte 0
+        n = np.arange(10**4, dtype=np.uint64)
+        self.digits = np.zeros(10**4, dtype=np.uint64)
+        for shift in (24, 16, 8, 0):
+            self.digits |= (n % np.uint64(10)) << np.uint64(shift)
+            n //= np.uint64(10)
+
+    def _learn(self, index):
+        """Make the constants of the exponents ``index + _FREXP_MIN`` not yet known."""
+        for i in np.unique(index[~self.known[index]]).tolist():
+            e = i + _FREXP_MIN
+            # floor(log10 2**(e-1)) from the digit count of 2**|e-1|, no power of ten for e != 1
+            bits = abs(e - 1)
+            k = len(str(1 << bits)) - 1 if e >= 1 else -len(str(1 << bits))
+            num, den = _ratio(-e, k + 1)
+            least = num / den  # int / int is correctly rounded
+            top, bottom = least.as_integer_ratio()
+            self.above[i] = least if top * den >= num * bottom else np.nextafter(least, np.inf)
+            for j in (0, 1):
+                num, den = _ratio(e, 16 - k - j)
+                hi = num / den
+                top, bottom = hi.as_integer_ratio()
+                split = _SPLIT * hi
+                high = split - (split - hi)
+                c = 2 * i + j
+                self.hi_high[c], self.hi_low[c] = high, hi - high
+                self.lo[c] = (num * bottom - top * den) / (den * bottom)
+            self.k[i] = k
+            self.known[i] = True
+
+    def _lane(self, v):
+        """int64 numbers below 10**8 as their eight digits (0-9), first digit in byte 0."""
+        high = v // 10**4
+        return self.digits[high] | (self.digits[v - high * 10**4] << np.uint64(32))
+
+    def _decimal(self, x):
+        """``(digits, k, slow)``: the 17 significant digits of each ``|x|``
+        as an int64 in [1e16, 1e17) (0 for 0), the decimal exponent of the
+        first digit, and the positions to format by ``%``."""
+        m, e = np.frexp(np.abs(x))
+        finite = np.isfinite(m)
+        m[~finite], e[~finite] = 0.0, 0
+        index = e.astype(np.intp)  # intp indices gather fastest
+        index -= _FREXP_MIN
+        self._learn(index)
+        j = m >= self.above[index]
+        k = self.k[index] + j
+        k[m == 0] = 0  # zero prints as "0", in fixed notation
+        index *= 2
+        index += j
+        hi_high, hi_low = self.hi_high[index], self.hi_low[index]
+        split = _SPLIT * m
+        m_high = split - (split - m)
+        m_low = m - m_high
+        y = m * (hi_high + hi_low)  # an integer: y >= 1e16 > 2**53, or 0
+        # the rounding error of y, plus m * lo, plus 1/2
+        half = m_high * hi_high - y
+        half += m_high * hi_low
+        half += m_low * hi_high
+        half += m_low * hi_low
+        half += m * self.lo[index]
+        half += 0.5
+        tie = np.abs(half - np.rint(half)) < _TIE
+        digits = y.astype(np.int64)
+        digits += np.floor(half).astype(np.int64)
+        carry = digits == 10**17
+        digits[carry] = 10**16
+        k += carry
+        return digits, k, np.flatnonzero(~finite | tie)
+
+    def words(self, x):
+        """``(len(x), _WORDS)`` uint64 whose bytes, NULs dropped, are the texts of float64 ``x``.
+
+        Word 0 holds the sign, the "0." and zeros of 1e-4 <= |x| < 1,
+        the first digit and a "." after it.  Words 1-2 and 3-4 hold
+        digits 2-9 and 10-17, each lane split at the decimal point into
+        two words, with the "." in the byte before the second part.
+        Word 5 holds "e+dd" or "e-ddd" in bytes 0-4; its byte 7 is NUL,
+        free for a delimiter.  Zeros after the last digit kept are NUL.
+        """
+        digits, k, slow = self._decimal(x)
+        first = digits // 10**16
+        digits -= first * 10**16
+        high = digits // 10**8
+        digits -= high * 10**8
+        lane1, lane2 = self._lane(high), self._lane(digits)
+        # the last nonzero digit from the highest nonzero byte of each lane
+        byte1 = (np.frexp(lane1.astype(np.float64))[1] - 1) >> 3  # -1 for no nonzero byte
+        byte2 = (np.frexp(lane2.astype(np.float64))[1] - 1) >> 3
+        last = np.where(byte2 >= 0, 9 + byte2, 1 + byte1)
+        fixed = (k >= -4) & (k < 17)
+        leading = fixed & (k < 0)
+        whole = np.where(fixed & (k >= 0), k, 0)  # the digit the point follows
+        keep = np.maximum(whole, last)
+        at = np.where((last > whole) & ~leading, whole, 17)
+        lane1 |= _ASCII
+        lane1 &= _KEEP1[keep]
+        lane2 |= _ASCII
+        lane2 &= _KEEP2[keep]
+
+        out = np.empty((len(x), _WORDS), dtype="<u8")
+        first |= 0x30
+        out[:, 0] = (
+            np.signbit(x) * np.uint64(ord("-"))
+            | _LEADING[np.where(leading, -k, 0)]
+            | (first.view(np.uint64) << np.uint64(48))
+            | _DOT0[at]
+        )
+        left = _LEFT1[at]
+        out[:, 1] = lane1 & left
+        out[:, 2] = (lane1 & ~left) | _DOT1[at]
+        left = _LEFT2[at]
+        out[:, 3] = lane2 & left
+        out[:, 4] = (lane2 & ~left) | _DOT2[at]
+        out[:, 5] = 0
+        scientific = np.flatnonzero(~fixed)
+        if scientific.size:
+            k = k[scientific]
+            power = np.abs(k)
+            out[scientific, 5] = (
+                np.uint64(ord("e"))
+                | np.where(k < 0, np.uint64(ord("-") << 8), np.uint64(ord("+") << 8))
+                | (self.digits[power] << np.uint64(16))  # 4 digits in bytes 2-5, the first 0
+                | np.where(power >= 100, np.uint64(0x30 << 24), np.uint64(0))
+                | np.uint64(0x3030 << 32)
+            )
+        if slow.size:
+            texts = ((_NUMBER_FORMAT + "\n") * slow.size) % tuple(x[slow].tolist())
+            texts = np.array(texts.encode("ascii").split(), dtype=f"S{8 * _WORDS}")
+            out[slow] = texts.view("<u8").reshape(-1, _WORDS)
+        return out
+
+
 def _distinct_codes(arr):
     """``(values, codes)`` with ``arr`` equal bitwise to ``values[codes]``, or None.
 
     ``values`` holds each channel's distinct float64 bit patterns (-0.0
     apart from 0.0), channel after channel; ``codes`` is int32.  None as
     soon as a channel has more distinct values than a quarter of its
-    samples: the table of texts (25 bytes a value) and the codes would
-    then cost more memory than one copy of the input.
+    samples.  Up to there the table of texts (25 bytes a value,
+    compacted from the formatter's 48 bytes of words) and the codes (4
+    bytes a sample) take at most 10.25 bytes a sample, about one and a
+    quarter copies of the input.
     """
     n, m = arr.shape
     if n == 0:
@@ -282,60 +470,79 @@ def _distinct_codes(arr):
     return np.concatenate(keys).view(np.float64), codes
 
 
-def _write_formatted(fh, rows, delimiter, step):
-    """Write ``rows`` (samples x channels), ``step`` rows per ``%`` call."""
-    row_format = delimiter.join([_NUMBER_FORMAT] * rows.shape[1]) + "\n"
+def _write_texts(fh, texts, ends):
+    """Write ``texts`` (rows x channels x bytes, NUL-padded) with ``ends`` in each last byte."""
+    texts[:, :, -1] = ends
+    fh.write(texts.tobytes().translate(None, b"\0"))
+
+
+def _write_formatted(fh, rows, ends, step):
+    """Write ``rows`` (samples x channels), ``step`` rows per block of words."""
+    formatter = _Formatter()
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        fh.write(((row_format * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
+        words = formatter.words(block.ravel())
+        _write_texts(fh, words.view(np.uint8).reshape(*block.shape, 8 * _WORDS), ends)
 
 
-def _write_gathered(fh, values, codes, delimiter, step):
+def _write_gathered(fh, values, codes, ends, step):
     """Write ``values[codes]``, each distinct value formatted once, ``step`` rows per gather."""
     # A value's text NUL-padded to _MAX_TEXT bytes, then a slot for the
-    # delimiter, or the newline after a row's last value; NULs are dropped.
-    sep = np.frombuffer(delimiter.encode("ascii"), dtype=np.uint8)
-    ends = np.zeros((codes.shape[0], max(1, len(sep))), dtype=np.uint8)
-    ends[:-1, : len(sep)] = sep
-    ends[-1, 0] = ord("\n")
-    width = _MAX_TEXT + ends.shape[1]
-    table = np.empty(len(values), dtype=f"S{width}")
-    for start in range(0, len(values), _WRITE_BLOCK):  # bounds the Python strings alive
-        chunk = values[start : start + _WRITE_BLOCK]
-        texts = ((_NUMBER_FORMAT + "\n") * len(chunk)) % tuple(chunk.tolist())
-        table[start : start + len(chunk)] = texts.encode("ascii").split()
-    table = table.view(np.uint8).reshape(len(values), width)
+    # delimiter, or the newline after a row's last value.
+    formatter = _Formatter()
+    table = np.empty(len(values), dtype=f"S{_MAX_TEXT + 1}")
+    for start in range(0, len(values), _WRITE_BLOCK):
+        words = formatter.words(values[start : start + _WRITE_BLOCK])
+        words[:, -1] |= np.uint64(ord("\n") << 56)
+        table[start : start + len(words)] = words.tobytes().translate(None, b"\0").split()
+    table = table.view(f"V{_MAX_TEXT + 1}")
     for start in range(0, codes.shape[1], step):
-        block = table[codes[:, start : start + step].T]
-        block[:, :, _MAX_TEXT:] = ends
-        fh.write(block[block != 0].tobytes())
+        block = np.ascontiguousarray(codes[:, start : start + step].T)
+        _write_texts(fh, table[block].view(np.uint8).reshape(*block.shape, -1), ends)
 
 
 def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
     """Write channels-as-columns 17-digit text, optionally with a header.
 
     A 1-D array is one channel and reads back as a 1 x M matrix.  Every
-    value is written as ``format_number`` writes it, in blocks of about
-    ``_WRITE_BLOCK`` values.  When no channel has more distinct values
-    than a quarter of its samples (a dequantised EDF recording), each
-    distinct value is formatted once and the blocks are gathered from
-    that table of texts; otherwise each block is formatted by one ``%``
-    call.  Both paths write the same bytes.
+    value is written as ``format_number`` writes it, computed in numpy
+    (``_Formatter``; exact decimal ties, nan and inf go through ``%``),
+    in blocks of about ``_WRITE_BLOCK`` values.  When no channel has more
+    distinct values than a quarter of its samples (a dequantised EDF
+    recording), each distinct value is formatted once and the blocks are
+    gathered from that table of texts.  Both paths write the same bytes.
+
+    Raises
+    ------
+    InvalidSpecError
+        If ``delimiter`` is neither " " nor ",", or a label is not ASCII;
+        the file is then left as it was.
+    DimensionMismatchError
+        If ``data`` is neither 1-D nor 2-D.
     """
+    if delimiter not in (" ", ","):
+        raise InvalidSpecError(f"delimiter must be ' ' or ',', got {delimiter!r}")
+    header = b""
+    if labels is not None:
+        line = delimiter.join(str(l) for l in labels)
+        if not line.isascii():
+            raise InvalidSpecError(f"labels must be ASCII, got {line!r}")
+        header = (line + "\n").encode("ascii")
     arr = data.data if isinstance(data, MultichannelSignal) else np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis]
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 1-D or 2-D table, got shape {arr.shape}")
     step = max(1, _WRITE_BLOCK // max(1, arr.shape[0]))
+    ends = np.full(arr.shape[0], ord(delimiter), dtype=np.uint8)
+    ends[-1:] = ord("\n")
     distinct = _distinct_codes(arr)
     with open(path, "wb") as fh:
-        if labels is not None:
-            fh.write((delimiter.join(str(l) for l in labels) + "\n").encode("ascii"))
+        fh.write(header)
         if distinct is None:
-            _write_formatted(fh, arr.T, delimiter, step)
+            _write_formatted(fh, arr.T, ends, step)
         else:
-            _write_gathered(fh, *distinct, delimiter, step)
+            _write_gathered(fh, *distinct, ends, step)
 
 
 # ---------------------------------------------------------------------------

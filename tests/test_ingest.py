@@ -21,6 +21,7 @@ from phasemax.errors import (
 )
 from phasemax.ingest import (
     Recording,
+    format_number,
     read_edf,
     read_edf_header,
     read_matrix_text,
@@ -245,6 +246,69 @@ class TestWriteMatrixText:
         write_matrix_text(path, np.array([1.5, -2.0, 0.25]))
         assert path.read_text() == "1.5\n-2\n0.25\n"
         np.testing.assert_array_equal(read_matrix_text(path).signal.data, [[1.5, -2.0, 0.25]])
+
+    @pytest.mark.parametrize("delimiter", ["\t", "%", "\0", ";", "", "  ", ", "])
+    @pytest.mark.parametrize("table", [np.tile([[1.5], [3.0]], 8), AWKWARD], ids=["gathered", "formatted"])
+    def test_delimiter_other_than_space_or_comma_rejected(self, tmp_path, table, delimiter):
+        path = tmp_path / "delimited.txt"
+        with pytest.raises(InvalidSpecError):
+            write_matrix_text(path, table, delimiter=delimiter)
+        assert not path.exists()
+
+    def test_non_ascii_label_rejected_and_the_file_kept(self, tmp_path):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(InvalidSpecError):
+            write_matrix_text(path, AWKWARD, labels=["a", "é"])
+        assert path.read_bytes() == b"earlier\n"
+
+
+def formatted(values):
+    """Each value's text as ``_Formatter.words`` writes it, NULs dropped."""
+    words = ingest._Formatter().words(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+
+
+# Exact decimal ties: 18 significant digits, the last a 5, rounded half to even.
+TIES = [3 * 2.0**-24, 5 * 2.0**-24, 7 * 2.0**-24, 1e14 + 0.125, 1e14 + 0.375,
+        1e14 + 0.625, 1e14 + 0.875, 123456789012345.625]
+
+
+class TestFormatter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), max_size=64))
+    def test_matches_format_number_on_floats(self, values):
+        assert formatted(values) == [format_number(v) for v in values]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=64))
+    def test_matches_format_number_on_bit_patterns(self, patterns):
+        values = np.array(patterns, dtype=np.int64).view(np.float64)
+        assert formatted(values) == [format_number(v) for v in values]
+
+    def test_matches_format_number_on_edge_values(self):
+        big = np.finfo(np.float64).max
+        values = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                  np.finfo(np.float64).tiny, np.nextafter(np.finfo(np.float64).tiny, 0), big, -big,
+                  1e-4, np.nextafter(1e-4, 0), 1e-5, 1e16, 1e17, 1e17 - 16, 1e-19, 0.1, 100.0]
+        values += [10.0**j for j in range(-20, 25)]  # the float64 nearest each power of ten
+        values += [np.nextafter(10.0**j, side) for j in range(-20, 25) for side in (0, np.inf)]
+        values += [2.0**j for j in range(-1074, 1024)]
+        values += [-v for v in values]
+        assert formatted(values) == [format_number(v) for v in values]
+
+    def test_exact_decimal_ties_go_through_percent(self):
+        _, _, slow = ingest._Formatter()._decimal(np.array(TIES))
+        assert slow.tolist() == list(range(len(TIES)))
+        assert formatted(TIES) == [format_number(v) for v in TIES]
+        # half to even, both ways
+        assert formatted(TIES[3:5]) == ["100000000000000.12", "100000000000000.38"]
+
+    def test_standard_normals_take_the_fast_path(self):
+        values = np.random.default_rng(11).standard_normal(200_000)
+        _, _, slow = ingest._Formatter()._decimal(values)
+        assert slow.size == 0
+        assert formatted(values) == [format_number(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
