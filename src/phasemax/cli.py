@@ -336,7 +336,8 @@ def _cmd_phase(args) -> int:
 def _cmd_edf(args) -> int:
     channels = parse_channels(args.channels) if args.channels else None
     rec = ingest.read_edf(args.input, channels=channels, max_samples=args.samples)
-    ingest.write_matrix_text(args.out, rec.signal, labels=rec.labels)
+    labels = ["_".join(label.split()) for label in rec.labels]  # "ECG I" -> "ECG_I"
+    ingest.write_matrix_text(args.out, rec.signal, labels=labels)
     return 0
 
 

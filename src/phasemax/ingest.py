@@ -501,6 +501,24 @@ def _write_gathered(fh, values, codes, ends, step):
         _write_texts(fh, table[block].view(np.uint8).reshape(*block.shape, -1), ends)
 
 
+def _header_line(labels, n_channels: int, delimiter: str) -> bytes:
+    """The label row, or ``InvalidSpecError`` if ``read_matrix_text`` would misread it."""
+    labels = [str(l) for l in labels]
+    if len(labels) != n_channels:
+        raise InvalidSpecError(f"{len(labels)} labels for {n_channels} channels")
+    for label in labels:
+        # split() gives [label] only for a non-empty label without whitespace
+        if label.split() != [label] or delimiter in label or not label.isascii():
+            raise InvalidSpecError(
+                f"label {label!r} is empty, not ASCII, or holds whitespace or {delimiter!r}"
+            )
+    try:
+        list(map(float, labels))
+    except ValueError:
+        return (delimiter.join(labels) + "\n").encode("ascii")
+    raise InvalidSpecError(f"labels {labels} all parse as numbers and would read back as data")
+
+
 def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
     """Write channels-as-columns 17-digit text, optionally with a header.
 
@@ -512,27 +530,26 @@ def write_matrix_text(path, data, labels=None, delimiter: str = " ") -> None:
     recording), each distinct value is formatted once and the blocks are
     gathered from that table of texts.  Both paths write the same bytes.
 
+    Labels must read back as a header of ``read_matrix_text``: one per
+    channel, each non-empty, ASCII and free of whitespace and of the
+    delimiter, and not all of them numbers.
+
     Raises
     ------
     InvalidSpecError
-        If ``delimiter`` is neither " " nor ",", or a label is not ASCII;
-        the file is then left as it was.
+        If ``delimiter`` is neither " " nor ",", or the labels would not
+        read back; the file is then left as it was.
     DimensionMismatchError
         If ``data`` is neither 1-D nor 2-D.
     """
     if delimiter not in (" ", ","):
         raise InvalidSpecError(f"delimiter must be ' ' or ',', got {delimiter!r}")
-    header = b""
-    if labels is not None:
-        line = delimiter.join(str(l) for l in labels)
-        if not line.isascii():
-            raise InvalidSpecError(f"labels must be ASCII, got {line!r}")
-        header = (line + "\n").encode("ascii")
     arr = data.data if isinstance(data, MultichannelSignal) else np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis]
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 1-D or 2-D table, got shape {arr.shape}")
+    header = b"" if labels is None else _header_line(labels, arr.shape[0], delimiter)
     step = max(1, _WRITE_BLOCK // max(1, arr.shape[0]))
     ends = np.full(arr.shape[0], ord(delimiter), dtype=np.uint8)
     ends[-1:] = ord("\n")

@@ -16,6 +16,8 @@ only adds the residual-energy trace.  Two deliberate conventions:
 
 from __future__ import annotations
 
+import numpy as np
+
 from .separation import SeparationResult, _result
 from .signals import MultichannelSignal
 # second_moment stays importable from here: it is the baseline's matrix.
@@ -36,9 +38,10 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
     DegenerateInputError
         If the second moment matrix has no positive eigenvalue at all.
     """
-    energies = [float((signal.data**2).sum())]  # before the projection, to keep the peak low
+    x = signal.data.ravel(order="K")  # a view: dot products need no N x M squares
+    energies = [float(np.dot(x, x))]
     vectors, rows = _principal_components(signal)
     for row in rows:
-        energies.append(energies[-1] - float((row**2).sum()))
+        energies.append(energies[-1] - float(np.dot(row, row)))
     found = [(direction, None, None) for direction in vectors.T.copy()]
     return _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))

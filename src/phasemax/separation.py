@@ -12,9 +12,13 @@ complement.  Iterating extracts one source per step.
 orthogonal to every direction found so far, so the k-th series is just
 ``d_k . z`` on the whitened data and the squared radii are updated in
 place as ``r2 -= s_k**2``; only the winning sample's residual is
-rebuilt, exactly, to give the next direction.  ``find_maximum_direction``,
-``project_source`` and ``deflate`` spell out the explicit steps and are
-the reference that the implicit loop is tested against.
+rebuilt, exactly, to give the next direction.  The loop needs one
+series at a time, so it holds a single M-length buffer; once every
+direction is known, the series are written over the whitened array
+itself, block by block, and that array becomes the result.
+``find_maximum_direction``, ``project_source`` and ``deflate`` spell
+out the explicit steps and are the reference that the implicit loop is
+tested against.
 
 On whitened data the directions of sources with zero sample
 cross-product are orthogonal, so each projection is a clean scaled copy
@@ -40,6 +44,9 @@ _ZERO_RADIUS = 1e-300
 
 # Stop deflating once this fraction of the initial energy remains.
 DEFAULT_ENERGY_FLOOR = 1e-12
+
+# Columns per matmul when the series are written over the whitened data.
+_SERIES_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,10 @@ class SeparationResult:
     of squares to rounding.
 
     ``series_matrix`` is the read-only K x M block of the estimated
-    series; each estimate's ``series`` is a view of its row.
+    series; each estimate's ``series`` is a view of its row.  For the
+    maximum method it is the first K rows of the N x M working array:
+    when extraction stops early (K < N) the result keeps that whole
+    array rather than copying K rows out of it.
     """
 
     estimates: tuple
@@ -116,10 +126,15 @@ def radius_series(signal: MultichannelSignal) -> np.ndarray:
     NonFiniteError
         If a squared radius overflows float64.
     """
-    r = np.sqrt((signal.data**2).sum(axis=0))
+    r = np.sqrt(_squared_radii(signal.data))
     if not np.isfinite(r).all():
         raise NonFiniteError("squared radii overflow float64; rescale the input")
     return r
+
+
+def _squared_radii(z: np.ndarray) -> np.ndarray:
+    """``(z**2).sum(axis=0)`` without the N x M squares (bit for bit when M > 1)."""
+    return np.einsum("ij,ij->j", z, z)
 
 
 def find_maximum_direction(signal: MultichannelSignal) -> DirectionEstimate:
@@ -205,7 +220,11 @@ def separate_maximum(
 
     At most one source is extracted per channel; extraction stops
     earlier once the residual energy falls below ``DEFAULT_ENERGY_FLOOR``
-    times the initial energy.
+    times the initial energy.  The series are ``d_k . z`` computed as
+    one matrix product per block of columns, so they equal a product
+    per direction to rounding (a few ulps of the largest value); the
+    radii, directions and residual energies come from the products per
+    direction.  The signal's data is never written to.
 
     Raises
     ------
@@ -221,15 +240,19 @@ def separate_maximum(
         raise ZeroSignalError("cannot separate an identically zero signal")
 
     work, transform = apply_whitening(signal, whitening, order)
-    z = work.data
-    r2 = (z**2).sum(axis=0)  # squared radii of the deflated trajectory
+    if work is signal:  # no whitening: z is the caller's data, and it is overwritten below
+        z = signal.data.copy()
+    else:  # the whitened array is this call's own
+        z = work.data
+        z.setflags(write=True)
+    r2 = _squared_radii(z)  # squared radii of the deflated trajectory
     initial = float(r2.sum())
     if not np.isfinite(initial):
         raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
-    rows = np.empty(z.shape)
-    while len(found) < len(rows) and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
+    series = np.empty(z.shape[1])  # one series at a time: d_k . z, then its square
+    while len(found) < len(z) and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
         idx = int(np.argmax(r2))  # first occurrence on ties
         # The winner's residual, rebuilt exactly from z rather than from
         # r2, which has lost digits to cancellation.
@@ -240,10 +263,16 @@ def separate_maximum(
         if radius < _ZERO_RADIUS:
             raise ZeroSignalError("residual is identically zero; no direction exists")
         direction = column / radius
-        series = np.matmul(direction, z, out=rows[len(found)])
-        r2 -= series**2
+        np.matmul(direction, z, out=series)
+        r2 -= np.square(series, out=series)
         np.maximum(r2, 0.0, out=r2)  # rounding leaves fully explained samples just below 0
         r2[idx] = 0.0
         found.append((direction, idx, radius))
         energies.append(float(r2.sum()))
-    return _result(found, rows, energies, "maximum", transform)
+    # Row k of z becomes d_k . z.  Each block is read whole before it is
+    # written, so one K x block product is the only other array.
+    directions = np.array([d for d, _, _ in found])
+    for start in range(0, z.shape[1], _SERIES_BLOCK):
+        block = z[:, start : start + _SERIES_BLOCK]
+        block[: len(found)] = directions @ block
+    return _result(found, z, energies, "maximum", transform)

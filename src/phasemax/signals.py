@@ -27,8 +27,9 @@ from .errors import DimensionMismatchError, InvalidSpecError, NonFiniteError
 class MultichannelSignal:
     """Immutable N x M block of real-valued channel data.
 
-    The constructor is the boundary: it copies its input and checks the
-    shape and that every value is finite.
+    The constructor is the boundary: it copies its input into C order,
+    so results do not depend on the caller's memory layout, and checks
+    the shape and that every value is finite.
     """
 
     data: np.ndarray
@@ -46,7 +47,7 @@ class MultichannelSignal:
         return signal
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=float)
+        arr = np.array(self.data, dtype=float, order="C")
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2:

@@ -145,7 +145,9 @@ def whiten_pca(signal: MultichannelSignal):
     vectors, components = _principal_components(signal)
     if vectors.shape[1] < signal.n_channels:
         raise DegenerateInputError("second moment matrix is rank deficient")
-    norms = np.sqrt((components**2).sum(axis=1))
+    # (components**2).sum(axis=1) to the bit, without the N x M squares
+    buf = np.empty(signal.n_samples)
+    norms = np.sqrt([np.square(row, out=buf).sum() for row in components])
     if np.any(norms == 0.0):
         raise DegenerateInputError("a principal component series is identically zero")
     forward = vectors.T / norms[:, np.newaxis]

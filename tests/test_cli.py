@@ -398,6 +398,28 @@ class TestEdfCommand:
         assert run("edf", path, tmp_path / "o.txt") == 4
         assert capsys.readouterr().err == "phasemax: error: signal contains non-finite values\n"
 
+    def labelled_edf(self, tmp_path, labels):
+        rng = np.random.default_rng(19)
+        rec = Recording(MultichannelSignal(rng.normal(size=(len(labels), 48))), labels, 16.0)
+        path = tmp_path / "labelled.edf"
+        write_edf(path, rec)
+        return path
+
+    def test_whitespace_in_a_label_becomes_underscore(self, tmp_path):
+        path = self.labelled_edf(tmp_path, ("ECG I", "ECG  II", "ECG III"))
+        out = tmp_path / "out.txt"
+        assert run("edf", path, out) == 0
+        assert out.read_text().splitlines()[0] == "ECG_I ECG_II ECG_III"
+        assert read_matrix_text(out).labels == ("ECG_I", "ECG_II", "ECG_III")
+        assert run("separate", out, tmp_path / "e.txt") == 0
+
+    @pytest.mark.parametrize("labels", [("1", "2", "3"), ("a", "", "c")])
+    def test_labels_that_would_not_read_back_exit_2(self, tmp_path, labels):
+        path = self.labelled_edf(tmp_path, labels)
+        out = tmp_path / "o.txt"
+        assert run("edf", path, out) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", [-10, 0])
     def test_non_positive_samples_exits_2(self, tmp_path, samples):
         path, _ = self.make_edf(tmp_path)

@@ -262,6 +262,48 @@ class TestWriteMatrixText:
             write_matrix_text(path, AWKWARD, labels=["a", "é"])
         assert path.read_bytes() == b"earlier\n"
 
+    @pytest.mark.parametrize(
+        "labels, delimiter",
+        [
+            (["ECG I", "ECG II"], " "),  # read back as 4 columns: ragged
+            (["ECG I", "ECG II"], ","),  # the reader strips and splits on whitespace runs
+            (["a\tb", "c"], " "),
+            (["1", "2"], " "),  # every label a number: read back as a data row
+            (["1", "2"], ","),
+            (["nan", "-inf"], " "),
+            (["a"], " "),  # fewer labels than channels
+            (["a", "b", "c"], " "),
+            (["a", ""], " "),  # an empty label vanishes
+            (["a", ""], ","),
+            (["a,b", "c"], ","),  # the delimiter splits the label
+        ],
+    )
+    def test_label_that_would_not_read_back_rejected_and_the_file_kept(
+        self, tmp_path, labels, delimiter
+    ):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(InvalidSpecError):
+            write_matrix_text(path, AWKWARD, labels=labels, delimiter=delimiter)
+        assert path.read_bytes() == b"earlier\n"
+
+    @pytest.mark.parametrize(
+        "labels, delimiter",
+        [
+            (["ECG_I", "ECG_II"], " "),
+            (["ECG_I", "ECG_II"], ","),
+            (["1", "b"], " "),  # one label that is not a number makes the row a header
+            (["x", "1e5"], ","),
+            (["a,b", "c"], " "),  # a comma is no delimiter of a space-separated file
+        ],
+    )
+    def test_accepted_labels_read_back(self, tmp_path, labels, delimiter):
+        path = tmp_path / "labelled.txt"
+        write_matrix_text(path, AWKWARD, labels=labels, delimiter=delimiter)
+        back = read_matrix_text(path, delimiter=None if delimiter == " " else delimiter)
+        assert back.labels == tuple(labels)
+        np.testing.assert_array_equal(back.signal.data, AWKWARD)
+
 
 def formatted(values):
     """Each value's text as ``_Formatter.words`` writes it, NULs dropped."""

@@ -364,3 +364,35 @@ class TestImplicitDeflation:
         assert len(result.estimates) == 32
         assert np.all(result.residual_energy >= 0.0)
         assert np.all(np.diff(result.residual_energy) <= 0.0)
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
+    def test_callers_data_kept_and_series_read_only(self, whitening):
+        # the series are written over the working array in column blocks;
+        # 20 000 samples end in a partial block
+        signal = sparse_mixture(59, 8, 20_000, 50)
+        before = signal.data.tobytes()
+        result = separate_maximum(signal, whitening=whitening)
+        assert signal.data.tobytes() == before
+        assert not np.shares_memory(result.series_matrix, signal.data)
+        assert not result.series_matrix.flags.writeable
+        assert all(not est.series.flags.writeable for est in result.estimates)
+        self.assert_matches_reference(signal, whitening)
+
+    def test_early_stop_keeps_the_working_array(self):
+        # rank 2 in 3 channels: the energy floor stops extraction after 2 sources,
+        # and the 2 x M result is a view of the 3 x M working array, not a copy
+        rng = np.random.default_rng(60)
+        two = rng.normal(size=(2, 500))
+        signal = MultichannelSignal(np.vstack([two, two[:1]]))
+        result = separate_maximum(signal, whitening="none")
+        assert result.series_matrix.shape == (2, 500)
+        assert result.series_matrix.base.shape == (3, 500)
+        self.assert_matches_reference(signal, "none")
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
+    def test_memory_layout_of_the_input_does_not_change_the_bits(self, whitening):
+        data = sparse_mixture(61, 4, 3000, 50).data
+        c = separate_maximum(MultichannelSignal(data), whitening=whitening)
+        f = separate_maximum(MultichannelSignal(np.asfortranarray(data)), whitening=whitening)
+        assert c.series_matrix.tobytes() == f.series_matrix.tobytes()
+        assert c.residual_energy.tobytes() == f.residual_energy.tobytes()
