@@ -56,6 +56,13 @@ def _typed(kind, value, context: str):
         raise InvalidSpecError(f"{context}: {value!r} is not a valid {kind.__name__}") from None
 
 
+def _number(value, context: str) -> float:
+    """A number field: a JSON int or float, so ``true`` or ``"12"`` is not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpecError(f"{context}: {value!r} is not a number")
+    return float(value)
+
+
 def _integer(value, context: str) -> int:
     """An integer field: whole numbers only, so ``2.7`` or ``true`` is not truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -80,7 +87,7 @@ def _pulse_from_json(obj, context: str) -> signals.Pulse:
     for key in keys:
         if key not in obj:
             raise InvalidSpecError(f"{context}: missing field {key}")
-    return signals.Pulse(*(_typed(float, obj[key], f"{context}: {key}") for key in keys))
+    return signals.Pulse(*(_number(obj[key], f"{context}: {key}") for key in keys))
 
 
 def _fixture_from_json(obj, context: str = "fixture") -> signals.PulseTrainSpec:
@@ -108,7 +115,7 @@ def _preset_from_json(obj) -> signals.PulseTrainSpec:
 
 def _gen_config(obj) -> tuple:
     _require_keys(obj, ("preset", "n_samples", "sources", "mixing", "noise_sd"), "config")
-    noise_sd = _typed(float, obj.get("noise_sd", 0.0), "config: noise_sd")
+    noise_sd = _number(obj.get("noise_sd", 0.0), "config: noise_sd")
     mixing = _mixing_from_json(obj["mixing"]) if obj.get("mixing") is not None else None
     if "preset" in obj:
         if "sources" in obj:
@@ -122,13 +129,10 @@ def _gen_config(obj) -> tuple:
 
 
 def _mixing_from_json(obj, context: str = "mixing") -> np.ndarray:
-    try:
-        matrix = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        matrix = np.empty(0)  # reported as not square just below
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    rows = obj if isinstance(obj, list) and all(isinstance(row, list) for row in obj) else []
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise InvalidSpecError(f"{context}: must be a square matrix of numbers")
-    return matrix
+    return np.array([[_number(v, context) for v in row] for row in rows])
 
 
 # The keys a Monte-Carlo method entry may carry besides "method".
@@ -170,7 +174,7 @@ def _montecarlo_config(obj) -> evaluation.MonteCarloConfig:
     mixing = _mixing_from_json(obj["mixing"]) if obj.get("mixing") is not None else None
     return evaluation.MonteCarloConfig(
         fixture=fixture,
-        noise_sds=tuple(_typed(float, s, "config: noise_sd") for s in sds),
+        noise_sds=tuple(_number(s, "config: noise_sd") for s in sds),
         n_runs=_integer(obj.get("n_runs", 200), "config: n_runs"),
         base_seed=_integer(obj.get("base_seed", 0), "config: base_seed"),
         methods=tuple(

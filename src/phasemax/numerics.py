@@ -2,9 +2,13 @@
 
 Channel counts in this package are small (a handful of electrode leads).
 The symmetric eigensolver is LAPACK's, via ``np.linalg.eigh``, wrapped
-in a fixed ordering and sign convention; orthonormalization is a
-modified Gram-Schmidt that fails loudly on rank-deficient input instead
-of silently reducing rank.
+in a fixed ordering and sign convention.  Orthonormalization is
+Gram-Schmidt computed as CholeskyQR2 (Fukaya et al., ScalA'14): two
+Cholesky factors of N x N Gram matrices, applied to the rows in column
+blocks, with the shifted CholeskyQR3 of Fukaya et al. (SIAM J. Sci.
+Comput. 42(1), 2020) for ill-conditioned rows.  It keeps the channels
+orthonormal to rounding up to the dependence cut, and fails loudly on
+rank-deficient input instead of silently reducing rank.
 
 All functions are pure: arguments are never mutated and results are
 freshly allocated, so concurrent use is safe.
@@ -27,6 +31,15 @@ from .errors import (
 # dependence.
 _DEPENDENCE_TOL = 1e-12
 
+# A first Cholesky pivot below this fraction of its row norm puts the rows
+# past plain CholeskyQR2 (~1e6 in condition): there a Cholesky can also
+# succeed on rounding noise, with pivots near 1e-8.  The shifted variant runs.
+_SHIFT_TOL = 1e-6
+
+# Values per column block of the passes over the rows: a gathered block and
+# its product are all that the passes hold beside the input and the basis.
+_BLOCK_VALUES = 4096
+
 
 def _as_finite_array(values, name, ndim):
     arr = np.asarray(values, dtype=float)
@@ -43,13 +56,89 @@ def _as_finite_array(values, name, ndim):
     return arr
 
 
+def _dependent(row, detail=""):
+    """The error for a row (in the order given) that depends on the rows before it."""
+    return DegenerateInputError(f"row {row} is linearly dependent on the rows before it{detail}")
+
+
+def _cholesky(gram):
+    """Lower Cholesky factor of a Gram matrix of rows in channel order.
+
+    Without one, ``DegenerateInputError`` names the first row whose
+    leading block has none, found by recursing on the leading blocks: the
+    first row that depends on the rows before it.
+    """
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        _cholesky(gram[:-1, :-1])  # raises instead if an earlier row fails; 0 x 0 never does
+        raise _dependent(len(gram) - 1) from None
+
+
+def _orthonormal_rows(x, order):
+    """Gram-Schmidt of the rows ``x[order]`` by CholeskyQR2, never copying them whole.
+
+    ``order`` is an integer array of 0-based row indices.  Returns
+    ``(basis, coeffs, forward)`` with ``x[order] == coeffs @ basis``,
+    ``coeffs`` lower-triangular with a positive diagonal, and
+    ``forward @ x == basis``; ``forward`` is the product of the inverse
+    factors, with its columns in the rows' own order.
+
+    The order permutes the N x N Gram matrix.  The first pass writes
+    ``inv(L1) @ x[order]`` into the basis one gathered column block at a
+    time; each later pass factors the Gram matrix of the basis and applies
+    the inverse of that factor to the basis in place, block by block.  The
+    factors are applied in turn, never as their product, which would lose
+    orthogonality.  If the first Cholesky fails or has a pivot below
+    ``_SHIFT_TOL`` of its row norm, it is redone with the shift of
+    Fukaya et al. (2020) and one more pass runs (shifted CholeskyQR3).
+    """
+    n = len(x)
+    gram = (x @ x.T)[order[:, np.newaxis], order]
+    norms = np.sqrt(gram.diagonal())
+    try:
+        factor = np.linalg.cholesky(gram)
+        shifted = (factor.diagonal() / norms).min() <= _SHIFT_TOL
+    except np.linalg.LinAlgError:
+        shifted = True
+    if shifted:
+        gram.flat[:: n + 1] += 11 * (x.size + n * (n + 1)) * np.finfo(float).eps * np.trace(gram)
+        factor = _cholesky(gram)
+    # LU of an upper-triangular matrix pivots nothing, so LAPACK's inverse of
+    # the transposed factor is its triangular inverse and keeps the zeros.
+    coeffs, forward = factor, np.linalg.inv(factor.T).T
+    basis = np.empty_like(x)
+    width = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, x.shape[1], width):
+        # One step of refinement: the explicit inverse alone leaves the rows after
+        # a near-dependent one with a residual of eps times the factor's condition.
+        rows = x[order, lo : lo + width]
+        y = forward @ rows
+        rows -= factor @ y
+        np.add(y, forward @ rows, out=basis[:, lo : lo + width])
+    for _ in range(1 + shifted):
+        factor = _cholesky(basis @ basis.T)
+        coeffs, inverse = coeffs @ factor, np.linalg.inv(factor.T).T
+        forward = inverse @ forward
+        for lo in range(0, x.shape[1], width):
+            basis[:, lo : lo + width] = inverse @ basis[:, lo : lo + width]
+    # written so that nan fails too: numpy's Cholesky of a Gram matrix that
+    # overflowed to inf gives nan instead of an error
+    independent = coeffs.diagonal() / norms > _DEPENDENCE_TOL
+    if not independent.all():
+        row = np.argmin(independent)
+        raise _dependent(row, f" (residual norm {coeffs[row, row]:.3e})")
+    return basis, coeffs, forward[:, np.argsort(order)]
+
+
 def gram_schmidt_orthonormal(rows):
     """Orthonormalize a sequence of vectors, keeping the change of basis.
 
-    Runs modified Gram-Schmidt with normalization over ``rows`` in the
-    order given.  The first basis vector is the first row rescaled to
-    unit length; every later basis vector is the unit residual of the
-    corresponding row after projecting out all earlier basis vectors.
+    Gram-Schmidt over ``rows`` in the order given, computed by CholeskyQR2
+    (shifted CholeskyQR3 when the rows are ill-conditioned).  The first
+    basis vector is the first row rescaled to unit length; every later
+    basis vector is the unit residual of the corresponding row after
+    projecting out all earlier basis vectors.
 
     Parameters
     ----------
@@ -68,28 +157,11 @@ def gram_schmidt_orthonormal(rows):
     ------
     DegenerateInputError
         If some row is (numerically) a linear combination of the rows
-        before it.
+        before it: its residual norm ``coeffs[i, i]`` is at most 1e-12
+        times its own norm.
     """
     r = _as_finite_array(rows, "rows", ndim=2)
-    k = r.shape[0]
-    basis = np.zeros_like(r)
-    coeffs = np.zeros((k, k))
-    for i in range(k):
-        residual = r[i].copy()
-        input_norm = np.sqrt(np.dot(residual, residual))
-        for j in range(i):
-            c = float(np.dot(residual, basis[j]))
-            coeffs[i, j] = c
-            residual -= c * basis[j]
-        residual_norm = np.sqrt(np.dot(residual, residual))
-        if residual_norm <= _DEPENDENCE_TOL * input_norm:
-            raise DegenerateInputError(
-                f"row {i} is linearly dependent on the rows before it "
-                f"(residual norm {residual_norm:.3e})"
-            )
-        basis[i] = residual / residual_norm
-        coeffs[i, i] = residual_norm
-    return basis, coeffs
+    return _orthonormal_rows(r, np.arange(len(r)))[:2]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ source to a scaling constant.
 
 Two backends are provided:
 
-* ``gram_schmidt`` - modified Gram-Schmidt over the channels in a
-  configurable order; the first output channel is the first input
-  channel rescaled to unit norm.
+* ``gram_schmidt`` - Gram-Schmidt over the channels in a configurable
+  order, computed by CholeskyQR2 (``numerics``); the first output
+  channel is the first input channel rescaled to unit norm.  The order
+  permutes the N x N Gram matrix, so no order copies the N x M rows.
 * ``pca`` - project onto the eigenvectors of the uncentered second
   moment matrix and rescale each component series to unit norm.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidSpecError
-from .numerics import gram_schmidt_orthonormal, symmetric_eig
+from .numerics import _orthonormal_rows, symmetric_eig
 from .signals import MultichannelSignal
 
 METHODS = ("none", "gram_schmidt", "pca")
@@ -57,19 +58,8 @@ class WhiteningTransform:
         return cls("none", np.eye(n_channels), None)
 
 
-def _validated_order(order, n):
-    if order is None:
-        return tuple(range(1, n + 1))
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise InvalidSpecError(
-            f"channel order must be a permutation of 1..{n}, got {order}"
-        )
-    return order
-
-
 def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
-    """Orthonormalize the channels by modified Gram-Schmidt.
+    """Orthonormalize the channels by Gram-Schmidt (computed as CholeskyQR2).
 
     Parameters
     ----------
@@ -91,17 +81,10 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
         If the channels are rank deficient.
     """
     n = signal.n_channels
-    order = _validated_order(order, n)
-    rows = signal.data  # fancy indexing would copy all N x M values, even for 1..N
-    if order != tuple(range(1, n + 1)):
-        rows = rows[[i - 1 for i in order], :]
-    basis, coeffs = gram_schmidt_orthonormal(rows)
-    # rows == coeffs @ basis, so the whitened channels are
-    # coeffs^-1 @ P @ data with P the order permutation.
-    perm = np.zeros((n, n))
-    for k, i in enumerate(order):
-        perm[k, i - 1] = 1.0
-    forward = np.linalg.solve(coeffs, perm)
+    order = tuple(range(1, n + 1)) if order is None else tuple(int(i) for i in order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise InvalidSpecError(f"channel order must be a permutation of 1..{n}, got {order}")
+    basis, _, forward = _orthonormal_rows(signal.data, np.subtract(order, 1))
     return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", forward, order)
 
 

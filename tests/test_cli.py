@@ -191,6 +191,16 @@ class TestSeparate:
         assert code == 0
         assert "pair: max=" in cmp_doc.read_text()
 
+    def test_near_singular_mixing_leaves_unit_residual_energy(self, tmp_path):
+        # condition ~1.3e10: the whitened channels must still be orthonormal, so
+        # the second residual energy is 1 to rounding
+        mixture, doc = tmp_path / "m.txt", tmp_path / "d.txt"
+        assert run("gen", "--preset", "disjoint", "--mixing", "1,1;1,1.000000001", mixture) == 0
+        args = ("--whiten", "gram-schmidt", "--order", "2,1", "--out-directions", doc)
+        assert run("separate", mixture, *args, tmp_path / "e.txt") == 0
+        line = next(t for t in doc.read_text().splitlines() if t.startswith("residual_energy:"))
+        assert abs(float(line.split()[2]) - 1.0) <= 1e-12
+
     def test_zero_input_exits_4(self, tmp_path):
         path = tmp_path / "zero.txt"
         write_matrix_text(path, np.zeros((2, 50)))
@@ -515,6 +525,24 @@ BAD_CONFIGS = {
     "mc-noise_sd-negative": ("montecarlo", {**MC_CONFIG, "noise_sd": [-0.5]}),
     "gen-noise_sd-negative": ("gen", {"preset": "disjoint", "noise_sd": -0.5}),
     "gen-noise_sd-nan-text": ("gen", {"preset": "disjoint", "noise_sd": "nan"}),
+    # a number field takes a JSON int or float: not a boolean, not a numeric string
+    "gen-noise_sd-bool": ("gen", {"preset": "disjoint", "noise_sd": True}),
+    "gen-noise_sd-numeric-text": ("gen", {"preset": "disjoint", "noise_sd": "0.01"}),
+    "gen-pulse-center-bool": ("gen", {"n_samples": 100, "sources": [[{**PULSE, "center": True}]]}),
+    "gen-pulse-width-text": ("gen", {"n_samples": 100, "sources": [[{**PULSE, "width": "9"}]]}),
+    "gen-pulse-amplitude-bool": (
+        "gen", {"n_samples": 100, "sources": [[{**PULSE, "amplitude": False}]]}
+    ),
+    "gen-mixing-bool-and-text": ("gen", {"preset": "disjoint", "mixing": [[True, 2], ["1", 3]]}),
+    "gen-mixing-numeric-text": ("gen", {"preset": "disjoint", "mixing": [[1, 2], ["1", 3]]}),
+    "mc-noise_sd-bool-and-numeric-text": ("montecarlo", {**MC_CONFIG, "noise_sd": [False, "0.01"]}),
+    "mc-noise_sd-numeric-text": ("montecarlo", {**MC_CONFIG, "noise_sd": ["0.01"]}),
+    "mc-mixing-bool": ("montecarlo", {**MC_CONFIG, "mixing": [[1, 0], [0, True]]}),
+    "mc-fixture-pulse-center-numeric-text": (
+        "montecarlo",
+        {"fixture": {"n_samples": 100, "sources": [[{**PULSE, "center": "50"}]]}, "noise_sd": [0.0],
+         "n_runs": 1, "methods": [{"method": "pca"}]},
+    ),
 }
 
 
@@ -598,6 +626,14 @@ class TestExitCodeContract:
         with np.errstate(over="ignore"):
             assert run("separate", big, tmp_path / "out.txt") == 4
         self.assert_clean_error(capsys)
+
+    def test_overflowing_gram_schmidt_whitening_exits_4(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_bytes(OVERFLOW_TABLE)
+        out = tmp_path / "out.txt"
+        assert run("separate", big, "--whiten", "gram-schmidt", "--order", "2,1", out) == 4
+        self.assert_clean_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["phase", "evaluate"])
     def test_overflowing_radii_or_correlation_sums_exit_4(self, tmp_path, capsys, command):

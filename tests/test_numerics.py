@@ -55,6 +55,38 @@ class TestGramSchmidt:
         projected = sum(float(np.dot(v, b)) ** 2 for b in basis)
         assert projected == pytest.approx(np.linalg.norm(v) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_orthonormal_when_a_plain_cholesky_succeeds_on_rounding_noise(self, seed):
+        # Condition 1e10, spread over all of 8 rows: a plain Cholesky of the Gram
+        # matrix (condition 1e20) often succeeds on rounding noise, and plain
+        # CholeskyQR2 from such a factor is orthogonal only to ~1e-13.
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        v, _ = np.linalg.qr(rng.normal(size=(20_000, 8)))
+        rows = (u * np.logspace(0, -10, 8)) @ v.T * rng.uniform(0.1, 10, size=(8, 1))
+        basis, coeffs = gram_schmidt_orthonormal(rows)
+        assert np.abs(basis @ basis.T - np.eye(8)).max() <= 1e-14
+        assert np.abs(rows - coeffs @ basis).max() <= 1e-15 * np.abs(rows).max()
+
+    @pytest.mark.parametrize(
+        "rows, row",
+        [
+            ([[1.0, 0.0], [0.0, 0.0]], 1),
+            ([[0.0, 0.0], [1.0, 0.0]], 0),
+            (np.random.default_rng(0).normal(size=(3, 2)), 2),  # fewer samples than rows
+            (np.vstack([np.eye(3, 7), [[1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]], np.eye(1, 7, 4)]), 3),
+        ],
+    )
+    def test_dependent_row_is_named(self, rows, row):
+        with pytest.raises(DegenerateInputError, match=f"^row {row} is linearly dependent"):
+            gram_schmidt_orthonormal(rows)
+
+    @pytest.mark.parametrize("rows", [[[1e160, 1e160, 3.0], [1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 1e200]]])
+    def test_overflowing_rows_raise_instead_of_giving_nan(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError):
+                gram_schmidt_orthonormal(rows)
+
     def test_linear_dependence_raises(self):
         with pytest.raises(DegenerateInputError):
             gram_schmidt_orthonormal([[1.0, 2.0], [2.0, 4.0]])

@@ -60,21 +60,36 @@ class TestGramSchmidtWhitening:
             transform.forward @ oblique_mixture.data, white.data, atol=1e-9
         )
 
-    def test_natural_order_allocates_no_n_by_m_array_but_the_basis(self):
-        # The rows are neither copied nor masked whole: besides the basis, the
-        # peak holds a residual row, its update and one row's finiteness mask,
-        # less than one N x M array of single bytes at N = 32.
+    @pytest.mark.parametrize("order", [None, tuple(range(32, 0, -1))], ids=["natural", "reversed"])
+    def test_no_order_allocates_an_n_by_m_array_but_the_basis(self, order):
+        # The rows are neither copied nor masked whole, in any order: the order
+        # permutes the Gram matrix, and besides the basis the peak holds one
+        # gathered column block, its products and the N x N factors, less than
+        # one N x M array of single bytes at N = 32.
         data = np.random.default_rng(4).normal(size=(32, 5000))
         signal = MultichannelSignal(data)
         tracemalloc.start()
         try:
-            white, _ = whiten_gram_schmidt(signal)
+            white, _ = whiten_gram_schmidt(signal, order)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < white.data.nbytes + data.size
-        basis, _ = gram_schmidt_orthonormal(data[list(range(32))])  # a reordered copy
+        rows = list(range(32)) if order is None else [i - 1 for i in order]
+        basis, _ = gram_schmidt_orthonormal(data[rows])  # a reordered copy
         np.testing.assert_array_equal(white.data, basis)
+
+    @pytest.mark.parametrize("order", [(1, 2, 3), (3, 1, 2)])
+    def test_forward_is_exactly_triangular_in_the_channel_order(self, order):
+        # Each whitened channel depends on the channels before it in the order
+        # only, also when a later channel is much larger than the first (an LU
+        # of the Cholesky factor would pivot and leave rounding noise above
+        # the diagonal).
+        data = np.random.default_rng(12).normal(size=(3, 200))
+        data[1] = 1e3 * (data[0] + 0.1 * data[1])
+        _, transform = whiten_gram_schmidt(MultichannelSignal(data), order)
+        ordered = transform.forward[:, np.subtract(order, 1)]
+        np.testing.assert_array_equal(ordered, np.tril(ordered))
 
     def test_rank_deficient_raises(self):
         sig = MultichannelSignal(np.vstack([np.arange(10.0), 2 * np.arange(10.0)]))
@@ -85,6 +100,39 @@ class TestGramSchmidtWhitening:
         sig = MultichannelSignal(np.random.default_rng(0).normal(size=(2, 10)))
         with pytest.raises(InvalidSpecError):
             whiten_gram_schmidt(sig, order=(1, 1))
+
+
+def near_dependent_rows(k):
+    """4 x 2e4 normal rows whose last is the one before plus k times noise: condition ~2/k."""
+    rows = np.random.default_rng(0).normal(size=(4, 20_000))
+    rows[3] = rows[2] + k * np.random.default_rng(100).normal(size=20_000)
+    return rows
+
+
+ORDERS = {"natural": (1, 2, 3, 4), "reversed": (4, 3, 2, 1)}
+
+
+class TestNearlyRankDeficientGramSchmidt:
+    """Whitening stays orthonormal up to the dependence cut (condition ~2e11)."""
+
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    @pytest.mark.parametrize("k", [1e-2, 1e-4, 1e-6, 1e-8, 1e-11])
+    def test_orthonormal_and_exact_up_to_the_cut(self, k, order):
+        rows = near_dependent_rows(k)
+        white, _ = whiten_gram_schmidt(MultichannelSignal(rows), order)
+        assert np.abs(sample_gram(white) - np.eye(4)).max() <= 1e-14
+        first = rows[order[0] - 1]
+        np.testing.assert_allclose(white.data[0], first / np.linalg.norm(first), rtol=0, atol=1e-16)
+        ordered = rows[np.subtract(order, 1)]
+        basis, coeffs = gram_schmidt_orthonormal(ordered)
+        np.testing.assert_array_equal(coeffs, np.tril(coeffs))
+        assert np.abs(ordered - coeffs @ basis).max() <= 1e-15 * np.abs(rows).max()
+
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    def test_dependence_cut_between_1e_11_and_1e_13(self, order):
+        whiten_gram_schmidt(MultichannelSignal(near_dependent_rows(1e-11)), order)
+        with pytest.raises(DegenerateInputError, match="row 3" if order[0] == 1 else "row 1"):
+            whiten_gram_schmidt(MultichannelSignal(near_dependent_rows(1e-13)), order)
 
 
 class TestPcaWhitening:
