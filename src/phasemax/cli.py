@@ -48,33 +48,35 @@ def _require_keys(obj: dict, allowed, context: str) -> None:
         raise InvalidSpecError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
 
 
-def _typed(kind, value, context: str):
-    """``kind(value)``, with a failed conversion reported as a spec error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidSpecError(f"{context}: {value!r} is not a valid {kind.__name__}") from None
+def _array(value, context: str) -> list:
+    """A list field: a JSON array, so ``"21"`` is not read as the list ``["2", "1"]``."""
+    if not isinstance(value, list):
+        raise InvalidSpecError(f"{context}: {value!r} is not a list")
+    return value
 
 
 def _number(value, context: str) -> float:
     """A number field: a JSON int or float, so ``true`` or ``"12"`` is not converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidSpecError(f"{context}: {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float64
+        raise InvalidSpecError(f"{context}: {value} is too large") from None
 
 
 def _integer(value, context: str) -> int:
-    """An integer field: whole numbers only, so ``2.7`` or ``true`` is not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field: a whole JSON number, so ``2.7``, ``true`` or ``"12"`` is not converted."""
+    if not _number(value, context).is_integer():
         raise InvalidSpecError(f"{context}: {value!r} is not a valid int")
-    return _typed(int, value, context)
+    return int(value)
 
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer over 4300 digits
             raise InvalidSpecError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise InvalidSpecError(f"{path}: top level must be an object")
@@ -94,16 +96,14 @@ def _fixture_from_json(obj, context: str = "fixture") -> signals.PulseTrainSpec:
     _require_keys(obj, ("n_samples", "sources"), context)
     if "n_samples" not in obj or "sources" not in obj:
         raise InvalidSpecError(f"{context}: needs n_samples and sources")
-    sources = []
-    for j, train in enumerate(_typed(tuple, obj["sources"], f"{context}: sources"), start=1):
-        sources.append(
-            tuple(
-                _pulse_from_json(p, f"{context}: source {j}, pulse {k}")
-                for k, p in enumerate(_typed(tuple, train, f"{context}: source {j}"), start=1)
-            )
+    sources = tuple(
+        tuple(
+            _pulse_from_json(p, f"{context}: source {j}, pulse {k}")
+            for k, p in enumerate(_array(train, f"{context}: source {j}"), start=1)
         )
-    n_samples = _integer(obj["n_samples"], f"{context}: n_samples")
-    return signals.PulseTrainSpec(n_samples, tuple(sources))
+        for j, train in enumerate(_array(obj["sources"], f"{context}: sources"), start=1)
+    )
+    return signals.PulseTrainSpec(_integer(obj["n_samples"], f"{context}: n_samples"), sources)
 
 
 def _preset_from_json(obj) -> signals.PulseTrainSpec:
@@ -146,11 +146,14 @@ def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
     _require_keys(obj, ("method",) + _METHOD_KEYS[name], f"{context} ({name})")
     order = None
     if "order" in obj:
-        items = _typed(tuple, obj["order"], f"{context}: order")
+        items = _array(obj["order"], f"{context}: order")
         order = tuple(_integer(i, f"{context}: order") for i in items)
+    whitening = obj.get("whitening")
+    if "whitening" in obj and not isinstance(whitening, str):
+        raise InvalidSpecError(f"{context}: whitening {whitening!r} is not a string")
     return evaluation.MethodSpec(
         name=name,
-        whitening=str(obj["whitening"]) if "whitening" in obj else None,
+        whitening=whitening,
         order=order,
         centered=obj.get("centered", False),
     )
@@ -159,18 +162,16 @@ def _method_from_json(obj, context: str) -> evaluation.MethodSpec:
 def _montecarlo_config(obj) -> evaluation.MonteCarloConfig:
     allowed = ("fixture", "preset", "n_samples", "mixing", "noise_sd", "n_runs", "base_seed", "methods")
     _require_keys(obj, allowed, "config")
-    if "preset" in obj:
-        fixture = _preset_from_json(obj)
-    elif "fixture" in obj:
+    if "fixture" in obj:
+        if "preset" in obj or "n_samples" in obj:
+            raise InvalidSpecError("config: a fixture takes no preset and no top-level n_samples")
         fixture = _fixture_from_json(obj["fixture"])
+    elif "preset" in obj:
+        fixture = _preset_from_json(obj)
     else:
         raise InvalidSpecError("config: needs a fixture or a preset")
-    sds = obj.get("noise_sd")
-    if not isinstance(sds, (list, tuple)) or not sds:
-        raise InvalidSpecError("config: noise_sd must be a non-empty list")
-    methods = obj.get("methods")
-    if not isinstance(methods, list) or not methods:
-        raise InvalidSpecError("config: methods must be a non-empty list")
+    sds = _array(obj.get("noise_sd"), "config: noise_sd")
+    methods = _array(obj.get("methods"), "config: methods")
     mixing = _mixing_from_json(obj["mixing"]) if obj.get("mixing") is not None else None
     return evaluation.MonteCarloConfig(
         fixture=fixture,
@@ -284,7 +285,10 @@ def _read_signal(path, skip_columns=0) -> signals.MultichannelSignal:
 
 
 def _cmd_separate(args) -> int:
-    order = tuple(_integer(i, "--order") for i in args.order.split(",")) if args.order else None
+    try:
+        order = tuple(int(i) for i in args.order.split(",")) if args.order else None
+    except ValueError:
+        raise InvalidSpecError(f"--order: {args.order!r} is not a list of ints like 2,1") from None
     if args.method == "pca" and args.whiten != "none":
         raise InvalidSpecError("--whiten applies to --method max only")
     whitening._check_settings(args.whiten, order)

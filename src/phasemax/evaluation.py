@@ -121,20 +121,15 @@ def associate(truth: MultichannelSignal, estimates: MultichannelSignal) -> Assoc
     n = truth.n_channels
     matrix = _correlation_matrix(truth.data, estimates.data)
 
-    candidates = sorted(
-        ((i, j) for i in range(n) for j in range(n)),
-        key=lambda ij: (-abs(matrix[ij]), ij[0], ij[1]),
-    )
-    taken_sources: set = set()
-    taken_estimates: set = set()
+    # argmax returns the first maximum in row-major order, so exact ties go to
+    # the lowest (source, estimate) pair; a taken row or column drops to -1.
+    left = np.abs(matrix)
     pairs = []
-    for i, j in candidates:
-        if i in taken_sources or j in taken_estimates:
-            continue
+    for _ in range(n):
+        i, j = divmod(int(np.argmax(left)), n)
         pairs.append((i, j, float(matrix[i, j])))
-        taken_sources.add(i)
-        taken_estimates.add(j)
-    pairs.sort(key=lambda p: p[0])
+        left[i, :] = left[:, j] = -1.0
+    pairs.sort()  # by source: each source index occurs once
     return AssociationReport(tuple(pairs), matrix)
 
 
@@ -206,11 +201,14 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise InvalidSpecError(f"n_runs must be >= 1, got {self.n_runs}")
-        for sd in self.noise_sds:
-            if sd < 0:
-                raise InvalidSpecError(f"noise sd must be >= 0, got {sd}")
+        if not self.noise_sds or any(sd < 0 for sd in self.noise_sds):
+            raise InvalidSpecError(f"noise sds must be non-empty and >= 0, got {self.noise_sds}")
         if len(self.methods) < 1:
             raise InvalidSpecError("at least one method is required")
+        labels = [spec.label for spec in self.methods]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise InvalidSpecError(f"two methods share the label {label!r}, which names their reports")
 
 
 @dataclass(frozen=True)
@@ -241,20 +239,17 @@ def monte_carlo_rms(cfg: MonteCarloConfig) -> list:
 
     reports = []
     for sd in cfg.noise_sds:
-        sums = {spec.label: np.zeros((n, m)) for spec in cfg.methods}
+        sums = np.zeros((len(cfg.methods), n, m))
         for run in range(cfg.n_runs):
             noisy = add_noise(clean, NoiseSpec(sd, cfg.base_seed + run))
-            for spec in cfg.methods:
+            for total, spec in zip(sums, cfg.methods):
                 result = spec.run(noisy)
-                est = MultichannelSignal._wrap(
-                    np.vstack([normalize_unit(e.series) for e in result.estimates])
-                )
-                report = associate(sources, est)
-                for i, j, rho in report.pairs:
-                    aligned = est.data[j] if rho >= 0 else -est.data[j]
-                    sums[spec.label][i] += (aligned - truth[i]) ** 2
-        for spec in cfg.methods:
-            reports.append(
-                RmsReport(spec.label, sd, cfg.n_runs, np.sqrt(sums[spec.label] / cfg.n_runs))
-            )
+                est = np.vstack([normalize_unit(e.series) for e in result.estimates])
+                for i, j, rho in associate(sources, MultichannelSignal._wrap(est)).pairs:
+                    aligned = est[j] if rho >= 0 else -est[j]
+                    total[i] += (aligned - truth[i]) ** 2
+        reports.extend(
+            RmsReport(spec.label, sd, cfg.n_runs, np.sqrt(total / cfg.n_runs))
+            for total, spec in zip(sums, cfg.methods)
+        )
     return reports

@@ -56,23 +56,23 @@ def _as_finite_array(values, name, ndim):
     return arr
 
 
-def _dependent(row, detail=""):
-    """The error for a row (in the order given) that depends on the rows before it."""
-    return DegenerateInputError(f"row {row} is linearly dependent on the rows before it{detail}")
+def _dependent(channel, detail=""):
+    """The error for a 1-based channel that depends on the channels before it in the order."""
+    return DegenerateInputError(f"channel {channel} is linearly dependent on the channels before it{detail}")
 
 
-def _cholesky(gram):
+def _cholesky(gram, order):
     """Lower Cholesky factor of a Gram matrix of rows in channel order.
 
-    Without one, ``DegenerateInputError`` names the first row whose
-    leading block has none, found by recursing on the leading blocks: the
-    first row that depends on the rows before it.
+    Without one, ``DegenerateInputError`` names the channel of the first
+    row whose leading block has none, found by recursing on the leading
+    blocks: the first row that depends on the rows before it.
     """
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        _cholesky(gram[:-1, :-1])  # raises instead if an earlier row fails; 0 x 0 never does
-        raise _dependent(len(gram) - 1) from None
+        _cholesky(gram[:-1, :-1], order)  # raises instead if an earlier row fails; 0 x 0 never does
+        raise _dependent(order[len(gram) - 1] + 1) from None
 
 
 def _orthonormal_rows(x, order):
@@ -103,7 +103,7 @@ def _orthonormal_rows(x, order):
         shifted = True
     if shifted:
         gram.flat[:: n + 1] += 11 * (x.size + n * (n + 1)) * np.finfo(float).eps * np.trace(gram)
-        factor = _cholesky(gram)
+        factor = _cholesky(gram, order)
     # LU of an upper-triangular matrix pivots nothing, so LAPACK's inverse of
     # the transposed factor is its triangular inverse and keeps the zeros.
     coeffs, forward = factor, np.linalg.inv(factor.T).T
@@ -117,7 +117,7 @@ def _orthonormal_rows(x, order):
         rows -= factor @ y
         np.add(y, forward @ rows, out=basis[:, lo : lo + width])
     for _ in range(1 + shifted):
-        factor = _cholesky(basis @ basis.T)
+        factor = _cholesky(basis @ basis.T, order)
         coeffs, inverse = coeffs @ factor, np.linalg.inv(factor.T).T
         forward = inverse @ forward
         for lo in range(0, x.shape[1], width):
@@ -127,7 +127,7 @@ def _orthonormal_rows(x, order):
     independent = coeffs.diagonal() / norms > _DEPENDENCE_TOL
     if not independent.all():
         row = np.argmin(independent)
-        raise _dependent(row, f" (residual norm {coeffs[row, row]:.3e})")
+        raise _dependent(order[row] + 1, f" (residual norm {coeffs[row, row]:.3e})")
     return basis, coeffs, forward[:, np.argsort(order)]
 
 
@@ -158,7 +158,7 @@ def gram_schmidt_orthonormal(rows):
     DegenerateInputError
         If some row is (numerically) a linear combination of the rows
         before it: its residual norm ``coeffs[i, i]`` is at most 1e-12
-        times its own norm.
+        times its own norm.  The message names it as channel ``i + 1``.
     """
     r = _as_finite_array(rows, "rows", ndim=2)
     return _orthonormal_rows(r, np.arange(len(r)))[:2]

@@ -481,6 +481,10 @@ MAXIMUM = {"method": "maximum"}
 MC_CONFIG = {"preset": "disjoint", "noise_sd": [0.001], "n_runs": 1, "methods": [{"method": "pca"}]}
 
 
+MC_FIXTURE = {"n_samples": 100, "sources": [[PULSE], [{**PULSE, "center": 20}]]}
+MC_CONFIG_FIXTURE = {k: v for k, v in MC_CONFIG.items() if k != "preset"} | {"fixture": MC_FIXTURE}
+
+
 def mc_method(method):
     """A one-method Monte-Carlo config whose method entry is ``method``."""
     return ("montecarlo", {**MC_CONFIG, "methods": [method]})
@@ -543,6 +547,34 @@ BAD_CONFIGS = {
         {"fixture": {"n_samples": 100, "sources": [[{**PULSE, "center": "50"}]]}, "noise_sd": [0.0],
          "n_runs": 1, "methods": [{"method": "pca"}]},
     ),
+    # an integer field takes a JSON number, a list field a JSON array, whitening a string
+    "gen-preset-n_samples-numeric-text": ("gen", {"preset": "disjoint", "n_samples": "300"}),
+    "gen-n_samples-numeric-text": ("gen", {"n_samples": "100", "sources": [[PULSE]]}),
+    "gen-sources-object": ("gen", {"n_samples": 100, "sources": {"a": [PULSE]}}),
+    "gen-source-object": ("gen", {"n_samples": 100, "sources": [PULSE]}),
+    "mc-n_runs-numeric-text": ("montecarlo", {**MC_CONFIG, "n_runs": "3"}),
+    "mc-base_seed-numeric-text": ("montecarlo", {**MC_CONFIG, "base_seed": "7"}),
+    "mc-order-string": mc_method({**MAXIMUM, "order": "21"}),
+    "mc-order-numeric-text": mc_method({**MAXIMUM, "order": ["2", "1"]}),
+    "mc-whitening-null": mc_method({**MAXIMUM, "whitening": None}),
+    "mc-whitening-list": mc_method({**MAXIMUM, "whitening": ["pca"]}),
+    # keys that would be ignored
+    "mc-preset-and-fixture": ("montecarlo", {**MC_CONFIG, "fixture": MC_FIXTURE}),
+    "mc-fixture-and-n_samples": (
+        "montecarlo", {**MC_CONFIG_FIXTURE, "n_samples": 300},
+    ),
+    # two methods whose columns would carry the same label
+    "mc-two-orders-one-label": (
+        "montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1, 2]}, {**MAXIMUM, "order": [2, 1]}]},
+    ),
+    "mc-same-method-twice": ("montecarlo", {**MC_CONFIG, "methods": [{"method": "pca"}] * 2}),
+    "mc-noise_sd-empty": ("montecarlo", {**MC_CONFIG, "noise_sd": []}),
+    "mc-noise_sd-missing": ("montecarlo", {k: v for k, v in MC_CONFIG.items() if k != "noise_sd"}),
+    "mc-methods-object": ("montecarlo", {**MC_CONFIG, "methods": {"method": "pca"}}),
+    # a JSON integer beyond float64 is refused, not a traceback
+    "gen-noise_sd-huge-integer": ("gen", {"preset": "disjoint", "noise_sd": 10**400}),
+    "gen-n_samples-huge-integer": ("gen", {"n_samples": 10**400, "sources": [[PULSE]]}),
+    "mc-base_seed-huge-integer": ("montecarlo", {**MC_CONFIG, "base_seed": 10**400}),
 }
 
 
@@ -587,6 +619,39 @@ class TestExitCodeContract:
         assert run(command, "--config", cfg, tmp_path / "out") == 2
         self.assert_clean_error(capsys)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({**MC_CONFIG, "fixture": MC_FIXTURE}, "a fixture takes no preset"),
+            ({**MC_CONFIG_FIXTURE, "n_samples": 300}, "no top-level n_samples"),
+            (mc_method({**MAXIMUM, "whitening": None})[1], "whitening None is not a string"),
+            (mc_method({**MAXIMUM, "order": "21"})[1], "order: '21' is not a list"),
+            (
+                {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1, 2]}, {**MAXIMUM, "order": [2, 1]}]},
+                "label 'maximum-gramschmidt'",
+            ),
+        ],
+    )
+    def test_config_error_names_its_cause(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("montecarlo", "--config", cfg, tmp_path / "out.csv") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fixture_config_without_conflicts_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(MC_CONFIG_FIXTURE))
+        assert run("montecarlo", "--config", cfg, tmp_path / "out.csv") == 0
+
+    @pytest.mark.parametrize("flags, channel", [((), 2), (("--order", "2,1"), 1), (("--order", " 2, 1"), 1)])
+    def test_dependent_channel_is_named_in_its_input_numbering(self, tmp_path, capsys, flags, channel):
+        table = tmp_path / "dep.txt"
+        table.write_text("1 2\n2 4\n3 6\n")
+        assert run("separate", table, "--whiten", "gram-schmidt", *flags, tmp_path / "out.txt") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"phasemax: error: channel {channel} is linearly dependent")
+
     @pytest.mark.parametrize("order", ["a,b", "1,,2", "1.5,2", "True,2"])
     def test_non_integer_order_exits_2(self, tmp_path, capsys, mixture_file, order):
         args = ("--whiten", "gram-schmidt", "--order", order, tmp_path / "out.txt")
@@ -613,6 +678,12 @@ class TestExitCodeContract:
         assert run("gen", "--preset", "disjoint", "--noise-sd", sd, out) == 2
         self.assert_clean_error(capsys)
         assert not out.exists()
+
+    def test_integer_over_4300_digits_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"preset": "disjoint", "noise_sd": 1' + "0" * 5000 + "}")
+        assert run("gen", "--config", cfg, tmp_path / "out") == 2
+        self.assert_clean_error(capsys)
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

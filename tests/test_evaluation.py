@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasemax import evaluation
 from phasemax.errors import (
     DimensionMismatchError,
     InvalidSpecError,
@@ -214,6 +216,67 @@ class TestAssociate:
             associate(a, b)
 
 
+def greedy_by_rule(matrix):
+    """The tie rule, stated directly: take the smallest ``(-|rho|, i, j)`` over untaken rows and columns."""
+    n = len(matrix)
+    free_rows, free_cols, pairs = set(range(n)), set(range(n)), []
+    while free_rows:
+        _, i, j = min((-abs(matrix[i, j]), i, j) for i in free_rows for j in free_cols)
+        pairs.append((i, j, float(matrix[i, j])))
+        free_rows.remove(i)
+        free_cols.remove(j)
+    return sorted(pairs)
+
+
+def associate_matrix(monkeypatch, matrix):
+    """``associate`` on two n-channel signals whose correlation matrix is ``matrix``."""
+    matrix = np.array(matrix, dtype=float)
+    monkeypatch.setattr(evaluation, "_correlation_matrix", lambda x, y: matrix)
+    signal = MultichannelSignal(np.eye(len(matrix), 3 * len(matrix)))
+    return associate(signal, signal)
+
+
+def signed_pairs(pairs):
+    """Pairs with the sign bit of each correlation spelled out, so -0.0 differs from 0.0."""
+    return [(i, j, rho, math.copysign(1.0, rho)) for i, j, rho in pairs]
+
+
+class TestAssociateTieOrder:
+    """Exact |rho| ties go to the lowest (source, estimate) pair, whatever their signs."""
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            ([[0.5, -0.5], [-0.5, 0.5]], [(0, 0, 0.5), (1, 1, 0.5)]),
+            ([[-0.5, 0.5], [0.5, 0.2]], [(0, 0, -0.5), (1, 1, 0.2)]),
+            ([[0.2, -0.7], [0.7, 0.2]], [(0, 1, -0.7), (1, 0, 0.7)]),
+            ([[-0.0, 0.0], [0.0, -0.0]], [(0, 0, -0.0), (1, 1, -0.0)]),
+            ([[0.0, -0.0, 0.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -0.0]],
+             [(0, 0, 0.0), (1, 2, 1.0), (2, 1, 0.0)]),
+        ],
+    )
+    def test_opposite_signs_and_signed_zeros(self, monkeypatch, matrix, expected):
+        pairs = associate_matrix(monkeypatch, matrix).pairs
+        assert signed_pairs(pairs) == signed_pairs(expected)
+        assert signed_pairs(pairs) == signed_pairs(greedy_by_rule(np.array(matrix)))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.25, -0.25]),
+                min_size=n * n,
+                max_size=n * n,
+            )
+        )
+    )
+    def test_matches_the_rule_on_matrices_full_of_ties(self, values):
+        n = math.isqrt(len(values))
+        matrix = np.array(values).reshape(n, n)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pairs = associate_matrix(monkeypatch, matrix).pairs
+        assert signed_pairs(pairs) == signed_pairs(greedy_by_rule(matrix))
+
+
 class TestCrossMethodCorrelations:
     def test_identical_results(self):
         sig = generate_sources(disjoint_sources_spec())
@@ -338,6 +401,40 @@ class TestMonteCarloRms:
         for ra, rb in zip(a, b):
             assert ra.method == rb.method and ra.noise_sd == rb.noise_sd
             np.testing.assert_array_equal(ra.rms, rb.rms)
+
+    def test_each_method_reports_as_if_run_alone(self):
+        methods = (
+            MethodSpec("maximum", whitening="gram_schmidt", order=(2, 1)),
+            MethodSpec("maximum", whitening="pca"),
+            MethodSpec("pca", centered=True),
+        )
+        together = monte_carlo_rms(small_config(noise_sds=(0.001, 0.01), methods=methods))
+        for k, spec in enumerate(methods):
+            alone = monte_carlo_rms(small_config(noise_sds=(0.001, 0.01), methods=(spec,)))
+            assert [(r.method, r.noise_sd) for r in together[k :: len(methods)]] == [
+                (r.method, r.noise_sd) for r in alone
+            ]
+            for a, b in zip(together[k :: len(methods)], alone):
+                np.testing.assert_array_equal(a.rms, b.rms)
+
+    @pytest.mark.parametrize(
+        "methods, label",
+        [
+            ((MethodSpec("maximum", order=(1, 2)), MethodSpec("maximum", order=(2, 1))), "maximum-gramschmidt"),
+            ((MethodSpec("maximum"), MethodSpec("pca"), MethodSpec("maximum", whitening="gram_schmidt")),
+             "maximum-gramschmidt"),
+            ((MethodSpec("pca"), MethodSpec("pca", centered=False)), "pca"),
+            ((MethodSpec("pca", centered=True),) * 2, "pca-centered"),
+        ],
+    )
+    def test_methods_sharing_a_label_are_rejected(self, methods, label):
+        with pytest.raises(InvalidSpecError, match=f"label '{label}'"):
+            small_config(methods=methods)
+
+    @pytest.mark.parametrize("noise_sds", [(), (0.001, -0.5)])
+    def test_empty_or_negative_noise_levels_are_rejected(self, noise_sds):
+        with pytest.raises(InvalidSpecError):
+            small_config(noise_sds=noise_sds)
 
     def test_report_layout(self):
         reports = monte_carlo_rms(small_config(noise_sds=(0.001, 0.005)))

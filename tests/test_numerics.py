@@ -78,7 +78,7 @@ class TestGramSchmidt:
         ],
     )
     def test_dependent_row_is_named(self, rows, row):
-        with pytest.raises(DegenerateInputError, match=f"^row {row} is linearly dependent"):
+        with pytest.raises(DegenerateInputError, match=f"^channel {row + 1} is linearly dependent"):
             gram_schmidt_orthonormal(rows)
 
     @pytest.mark.parametrize("rows", [[[1e160, 1e160, 3.0], [1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 1e200]]])

@@ -91,6 +91,25 @@ class TestGramSchmidtWhitening:
         ordered = transform.forward[:, np.subtract(order, 1)]
         np.testing.assert_array_equal(ordered, np.tril(ordered))
 
+    @pytest.mark.parametrize(
+        "data, order, channel, at_the_cut",
+        [
+            # rounding leaves a residual: the dependence cut raises
+            ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], (1, 2), 2, True),
+            ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], (2, 1), 1, True),
+            # an exact dependence: a Cholesky fails, and the leading blocks name the channel
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], (1, 2, 3), 3, False),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], (3, 2, 1), 1, False),
+            ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+             (4, 1, 3, 2), 3, False),
+            ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], (2, 1), 2, False),
+        ],
+    )
+    def test_dependent_channel_is_named_by_its_input_number(self, data, order, channel, at_the_cut):
+        with pytest.raises(DegenerateInputError, match=f"^channel {channel} is linearly dependent") as info:
+            whiten_gram_schmidt(MultichannelSignal(np.array(data)), order)
+        assert ("residual norm" in str(info.value)) == at_the_cut
+
     def test_rank_deficient_raises(self):
         sig = MultichannelSignal(np.vstack([np.arange(10.0), 2 * np.arange(10.0)]))
         with pytest.raises(DegenerateInputError):
@@ -131,7 +150,8 @@ class TestNearlyRankDeficientGramSchmidt:
     @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
     def test_dependence_cut_between_1e_11_and_1e_13(self, order):
         whiten_gram_schmidt(MultichannelSignal(near_dependent_rows(1e-11)), order)
-        with pytest.raises(DegenerateInputError, match="row 3" if order[0] == 1 else "row 1"):
+        # the last channel depends on the one before it, named whichever comes first
+        with pytest.raises(DegenerateInputError, match="^channel 4 " if order[0] == 1 else "^channel 3 "):
             whiten_gram_schmidt(MultichannelSignal(near_dependent_rows(1e-13)), order)
 
 
