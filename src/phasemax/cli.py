@@ -265,7 +265,7 @@ def _cmd_gen(args) -> int:
             raise InvalidSpecError("--n-samples applies to --preset only")
         spec, mixing, noise_sd = _gen_config(_load_json(args.config))
     else:
-        n_samples = 1000 if args.n_samples is None else args.n_samples
+        n_samples = 1000 if args.n_samples is None else _integer(args.n_samples, "--n-samples")
         spec, mixing, noise_sd = PRESETS[args.preset](n_samples), None, 0.0
     if args.mixing is not None:  # inline form wins over the config
         mixing = parse_mixing(args.mixing)

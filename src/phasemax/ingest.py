@@ -112,13 +112,15 @@ def _recording(columns, labels, skip_columns) -> Recording:
     width = len(columns)
     if not 0 <= skip_columns < width:
         raise OutOfBoundsError(f"skip_columns {skip_columns} outside 0..{width - 1}")
-    data = np.asarray(columns[skip_columns:], dtype=float, order="C")
+    data = np.asarray(columns[skip_columns:], dtype=float, order="C")  # this call's own array
+    if not np.isfinite(data).all():
+        raise NonFiniteError("signal contains non-finite values")
     kept_labels = (
         tuple(labels[skip_columns:])
         if labels is not None
         else tuple(f"ch{i}" for i in range(1, data.shape[0] + 1))
     )
-    return Recording(MultichannelSignal(data), kept_labels, None)
+    return Recording(MultichannelSignal._wrap(data), kept_labels, None)
 
 
 def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) -> Recording:

@@ -10,12 +10,22 @@ complement.  Iterating extracts one source per step.
 
 ``separate_maximum`` deflates implicitly.  Each deflated residual is
 orthogonal to every direction found so far, so the k-th series is just
-``d_k . z`` on the whitened data and the squared radii are updated in
-place as ``r2 -= s_k**2``; only the winning sample's residual is
-rebuilt, exactly, to give the next direction.  The loop needs one
-series at a time, so it holds a single M-length buffer; once every
-direction is known, the series are written over the whitened array
-itself, block by block, and that array becomes the result.
+``d_k . z`` on the whitened data, step k lowers each squared radius by
+``s_k**2`` and the residual energy by ``d_k . G . d_k`` with the Gram
+matrix ``G = z z^T``; only the winning sample's residual is rebuilt,
+exactly, to give the next direction.  Since deflation never makes a
+squared radius grow, the maximum is searched only among candidates: the
+samples whose squared radius starts at or above a cut, at first half the
+largest.  A best candidate at or above the cut is the maximum over every
+sample.  When it falls below, the cut is halved and the samples now
+above it are admitted, their squared radii brought up to date from the
+directions found so far; once the candidates would be more than 1/8 of
+the samples, or when the data hold fewer than 2**15 values, every sample
+is searched, with no copy.  On sparse data the candidates are a few
+percent of the samples, held as one gathered block in sample order, so
+the earliest sample still wins an exact tie.  Once
+every direction is known, the series are written over the whitened
+array itself, block by block, and that array becomes the result.
 ``find_maximum_direction``, ``project_source`` and ``deflate`` spell
 out the explicit steps and are the reference that the implicit loop is
 tested against.
@@ -47,6 +57,18 @@ DEFAULT_ENERGY_FLOOR = 1e-12
 
 # Columns per matmul when the series are written over the whitened data.
 _SERIES_BLOCK = 4096
+
+# The candidate search of separate_maximum: the cut starts at this
+# fraction of the largest squared radius and is multiplied by the step
+# each time it is lowered; past the share of the samples, every sample
+# is searched.  Below the minimum number of values (channels x samples)
+# every sample is searched from the start: there a pass over all of
+# them costs less than the candidates' bookkeeping (the two break even
+# at about 2 x 16000 and 8 x 4000 values).
+_CUT_START = 0.5
+_CUT_STEP = 0.5
+_CANDIDATE_SHARE = 1 / 8
+_CANDIDATE_MIN_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -88,10 +110,10 @@ class SeparationResult:
 
     ``residual_energy`` has one entry per deflation boundary: the total
     sum of squares of the working data before the first extraction and
-    after each one; it is non-increasing.  After the first entry it is
-    the sum of the squared radii updated in place (``r2 -= s_k**2``,
-    clamped at 0), which equals the explicitly deflated residual's sum
-    of squares to rounding.
+    after each one; it is non-increasing.  Each later entry is the one
+    before less ``d_k . G . d_k``, with ``G`` the Gram matrix of the
+    working data, clamped at 0; it equals the explicitly deflated
+    residual's sum of squares to rounding (a few ulps of the first entry).
 
     ``series_matrix`` is the read-only K x M block of the estimated
     series; each estimate's ``series`` is a view of its row.  For the
@@ -222,9 +244,9 @@ def separate_maximum(
     earlier once the residual energy falls below ``DEFAULT_ENERGY_FLOOR``
     times the initial energy.  The series are ``d_k . z`` computed as
     one matrix product per block of columns, so they equal a product
-    per direction to rounding (a few ulps of the largest value); the
-    radii, directions and residual energies come from the products per
-    direction.  The signal's data is never written to.
+    per direction to rounding (a few ulps of the largest value); each
+    radius and direction comes from the winning sample's residual,
+    rebuilt exactly.  The signal's data is never written to.
 
     Raises
     ------
@@ -245,17 +267,27 @@ def separate_maximum(
     else:  # the whitened array is this call's own
         z = work.data
         z.setflags(write=True)
-    r2 = _squared_radii(z)  # squared radii of the deflated trajectory
+    r2 = _squared_radii(z)  # squared radii before any deflation
     initial = float(r2.sum())
     if not np.isfinite(initial):
         raise NonFiniteError("signal energy overflows float64; rescale the input")
+    gram = z @ z.T  # residual energy k is the last one less d_k . gram . d_k
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
-    series = np.empty(z.shape[1])  # one series at a time: d_k . z, then its square
+    series = np.empty(0)  # one series at a time: d_k . zc, then its square
+    cut = _CUT_START * float(r2.max()) if z.size >= _CANDIDATE_MIN_VALUES else 0.0
+    index, zc, r2c = _candidates(z, r2, cut, found)
     while len(found) < len(z) and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
-        idx = int(np.argmax(r2))  # first occurrence on ties
+        best = int(np.argmax(r2c))  # first occurrence on ties; zc is in sample order
+        # Every sample outside zc started below the cut, and deflation only
+        # lowers a squared radius, so a candidate at or above the cut wins.
+        while index is not None and r2c[best] < cut:
+            cut *= _CUT_STEP
+            index, zc, r2c = _candidates(z, r2, cut, found)
+            best = int(np.argmax(r2c))
+        idx = best if index is None else int(index[best])
         # The winner's residual, rebuilt exactly from z rather than from
-        # r2, which has lost digits to cancellation.
+        # r2c, which has lost digits to cancellation.
         column = z[:, idx].copy()
         for earlier, _, _ in found:
             column -= (earlier @ column) * earlier
@@ -263,12 +295,14 @@ def separate_maximum(
         if radius < _ZERO_RADIUS:
             raise ZeroSignalError("residual is identically zero; no direction exists")
         direction = column / radius
-        np.matmul(direction, z, out=series)
-        r2 -= np.square(series, out=series)
-        np.maximum(r2, 0.0, out=r2)  # rounding leaves fully explained samples just below 0
-        r2[idx] = 0.0
+        if series.size < zc.shape[1]:  # samples were admitted
+            series = np.empty(zc.shape[1])
+        s = np.matmul(direction, zc, out=series[: zc.shape[1]])
+        r2c -= np.square(s, out=s)
+        np.maximum(r2c, 0.0, out=r2c)  # rounding leaves fully explained samples just below 0
+        r2c[best] = 0.0
         found.append((direction, idx, radius))
-        energies.append(float(r2.sum()))
+        energies.append(max(energies[-1] - float(gram.dot(direction).dot(direction)), 0.0))
     # Row k of z becomes d_k . z.  Each block is read whole before it is
     # written, so one K x block product is the only other array.
     directions = np.array([d for d, _, _ in found])
@@ -276,3 +310,31 @@ def separate_maximum(
         block = z[:, start : start + _SERIES_BLOCK]
         block[: len(found)] = directions @ block
     return _result(found, z, energies, "maximum", transform)
+
+
+def _candidates(z, r2, cut, found):
+    """The samples that may hold the next maximum: ``(index, columns, squared radii)``.
+
+    They are the samples whose squared radius before any deflation,
+    ``r2``, is at or above ``cut``, gathered from ``z`` in sample order,
+    with their squared radii brought up to date from the directions
+    ``found`` so far.  At a zero cut, or once they would be more than
+    ``_CANDIDATE_SHARE`` of the samples, they are every sample with no
+    copy: ``(None, z, r2)``, ``r2`` updated in place.
+    """
+    index = np.flatnonzero(r2 >= cut) if cut > 0.0 else None
+    if index is not None and len(index) <= _CANDIDATE_SHARE * z.shape[1]:
+        zc, r2 = z.take(index, axis=1), r2[index]
+    else:
+        index, zc = None, z
+    if found:
+        directions = np.array([d for d, _, _ in found])
+        for start in range(0, zc.shape[1], _SERIES_BLOCK):
+            r2[start : start + _SERIES_BLOCK] -= _squared_radii(
+                directions @ zc[:, start : start + _SERIES_BLOCK]
+            )
+        np.maximum(r2, 0.0, out=r2)
+        winners = [idx for _, idx, _ in found]
+        # every winner is still a candidate
+        r2[winners if index is None else index.searchsorted(winners)] = 0.0
+    return index, zc, r2

@@ -138,9 +138,22 @@ def generate_sources(spec: PulseTrainSpec) -> MultichannelSignal:
     Channel j is the sum of its Gaussian bumps evaluated at integer
     sample positions 0 .. M-1.  Deterministic: the same spec always
     produces the same samples.
+
+    Raises
+    ------
+    InvalidSpecError
+        If the samples cannot be allocated.
     """
-    n = np.arange(spec.n_samples, dtype=float)
-    data = np.zeros((spec.n_sources, spec.n_samples))
+    try:
+        if spec.n_sources * spec.n_samples > np.iinfo(np.intp).max // 8:
+            raise MemoryError  # more float64 bytes than numpy can address
+        n = np.arange(spec.n_samples, dtype=float)
+        data = np.zeros((spec.n_sources, spec.n_samples))
+    except MemoryError:
+        raise InvalidSpecError(
+            f"n_samples {spec.n_samples} is too large: {spec.n_sources} x {spec.n_samples} "
+            "float64 samples cannot be allocated"
+        ) from None
     for j, train in enumerate(spec.sources):
         for pulse in train:
             data[j] += pulse.amplitude * np.exp(

@@ -575,6 +575,8 @@ BAD_CONFIGS = {
     "gen-noise_sd-huge-integer": ("gen", {"preset": "disjoint", "noise_sd": 10**400}),
     "gen-n_samples-huge-integer": ("gen", {"n_samples": 10**400, "sources": [[PULSE]]}),
     "mc-base_seed-huge-integer": ("montecarlo", {**MC_CONFIG, "base_seed": 10**400}),
+    # a sample count whose arrays numpy cannot address is refused, not a traceback
+    "gen-preset-n_samples-beyond-memory": ("gen", {"preset": "disjoint", "n_samples": 1e300}),
 }
 
 
@@ -629,6 +631,11 @@ class TestExitCodeContract:
             (
                 {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1, 2]}, {**MAXIMUM, "order": [2, 1]}]},
                 "label 'maximum-gramschmidt'",
+            ),
+            (
+                {"fixture": {"n_samples": 1e300, "sources": [[PULSE]]}, "noise_sd": [0.0],
+                 "n_runs": 1, "methods": [{"method": "pca"}]},
+                "float64 samples cannot be allocated",
             ),
         ],
     )
@@ -741,6 +748,26 @@ class TestExitCodeContract:
         out = tmp_path / "out.txt"
         assert run("gen", "--config", cfg, *extra, out) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_sample_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        out = tmp_path / "out.txt"
+        assert run("gen", "--preset", "disjoint", "--n-samples", "5000", out) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "phasemax: error: n_samples 5000 is too large: "
+            "2 x 5000 float64 samples cannot be allocated\n"
+        )
+        assert not out.exists()
+
+    def test_n_samples_beyond_float64_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert run("gen", "--preset", "disjoint", "--n-samples", 10**400, out) == 2
+        assert capsys.readouterr().err.startswith("phasemax: error: --n-samples: ")
         assert not out.exists()
 
     def test_gen_without_config_or_preset_exits_2(self, tmp_path, capsys):

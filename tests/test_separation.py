@@ -21,6 +21,8 @@ from phasemax.signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
     MultichannelSignal,
+    Pulse,
+    PulseTrainSpec,
     coincident_peaks_spec,
     correlated_sources_spec,
     disjoint_sources_spec,
@@ -319,6 +321,40 @@ def sparse_mixture(seed, n, m, slot):
     return MultichannelSignal(rng.normal(size=(n, n)) @ data)
 
 
+# The candidate search runs on inputs of at least 2**15 values
+# (separation._CANDIDATE_MIN_VALUES); smaller ones search every sample.
+
+
+def lowered_cut_mixture():
+    """Four disjoint sources whose peaks, raw or whitened, sit well under half
+    the strongest one's, so the candidate search lowers its cut."""
+    trains, start = [], 100
+    for count, amplitude in [(1, 1.0), (2, 0.6), (3, 0.4), (4, 0.25)]:
+        trains.append(tuple(Pulse(start + 100 * k, 8.0, amplitude) for k in range(count)))
+        start += 100 * count
+    sources = generate_sources(PulseTrainSpec(9000, tuple(trains)))
+    return mix(sources, np.random.default_rng(62).normal(size=(4, 4)))
+
+
+def dense_mixture():
+    """32 mixed Gaussian channels: over 1/8 of the samples start above the
+    first cut, so every sample is searched from the first step."""
+    rng = np.random.default_rng(63)
+    return MultichannelSignal(rng.normal(size=(32, 32)) @ rng.standard_normal((32, 2000)))
+
+
+def admitted_tie():
+    """Sample 20 is admitted only once the cut falls to 3.125, and then ties
+    exactly with sample 40, a candidate from the start: squared radius 4 each
+    once sample 5's direction (1, 0, 0) is deflated."""
+    data = np.zeros((3, 12_000))
+    data[:, 5] = [10.0, 0.0, 0.0]
+    data[:, 20] = [0.0, 0.0, 2.0]
+    data[:, 40] = [7.0, 0.0, 2.0]
+    data[:, 50] = [0.0, 1.0, 0.0]
+    return MultichannelSignal(data)
+
+
 class TestImplicitDeflation:
     """``separate_maximum`` against the explicit find/project/deflate loop."""
 
@@ -340,14 +376,23 @@ class TestImplicitDeflation:
         for signal in c3_random_trials():
             self.assert_matches_reference(signal, whitening)
 
-    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
     @pytest.mark.parametrize(
-        "spec, mixing",
-        [(disjoint_sources_spec, OBLIQUE_MIXING), (coincident_peaks_spec, DOMINANT_MIXING)],
-        ids=["disjoint", "coincident"],
+        "make, whitening",
+        [
+            pytest.param(make, whitening, id=f"{name}-{whitening}")
+            for name, make in {
+                "disjoint": lambda: mix(generate_sources(disjoint_sources_spec()), OBLIQUE_MIXING),
+                "coincident": lambda: mix(generate_sources(coincident_peaks_spec()), DOMINANT_MIXING),
+                "lowered-cut": lowered_cut_mixture,
+                "dense": dense_mixture,
+            }.items()
+            for whitening in ("none", "gram_schmidt", "pca")
+        ]
+        # whitening would blur the exact tie
+        + [pytest.param(admitted_tie, "none", id="admitted-tie-none")],
     )
-    def test_fixtures(self, spec, mixing, whitening):
-        self.assert_matches_reference(mix(generate_sources(spec()), mixing), whitening)
+    def test_fixtures(self, make, whitening):
+        self.assert_matches_reference(make(), whitening)
 
     def test_duplicate_columns_earliest_sample_wins(self):
         data = np.zeros((3, 10))
