@@ -283,6 +283,7 @@ def separate_maximum(
         # lowers a squared radius, so a candidate at or above the cut wins.
         while index is not None and r2c[best] < cut:
             cut *= _CUT_STEP
+            zc = r2c = None  # the old block goes before the new one is gathered
             index, zc, r2c = _candidates(z, r2, cut, found)
             best = int(np.argmax(r2c))
         idx = best if index is None else int(index[best])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,28 @@ class TestImplicitDeflation:
         assert result.series_matrix.shape == (2, 500)
         assert result.series_matrix.base.shape == (3, 500)
         self.assert_matches_reference(signal, "none")
+
+    def test_one_candidate_block_at_a_time(self):
+        # 6% of the samples lie on channel 1 with squared radius in
+        # [0.56, 1], 6% on channel 2 in [0.26, 0.45]: the first cut (0.5)
+        # holds the first band, the second (0.25) both, 12% of the samples.
+        # The loop may hold the input, its working copy, one candidate
+        # block (at most 1/8 of the data) and M-length vectors (at most
+        # 1/4 of 8 x M): keeping the old block while the new one is
+        # gathered would pass 2 + 1/8 + 1/4.
+        rng = np.random.default_rng(64)
+        n, m = 8, 200_000
+        raw = 1e-3 * rng.standard_normal((n, m))
+        first, second = np.split(rng.permutation(m)[:24_000], 2)
+        raw[0, first] = np.sqrt(rng.uniform(0.56, 1.0, len(first)))
+        raw[1, second] = np.sqrt(rng.uniform(0.26, 0.45, len(second)))
+        tracemalloc.start()
+        try:
+            separate_maximum(MultichannelSignal(raw), whitening="none")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 + 1 / 8 + 1 / 4) * raw.nbytes
 
     @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
     def test_memory_layout_of_the_input_does_not_change_the_bits(self, whitening):
