@@ -75,10 +75,11 @@ def _cholesky(gram, order):
         raise _dependent(order[len(gram) - 1] + 1) from None
 
 
-def _orthonormal_rows(x, order):
+def _orthonormal_rows(x, gram, order):
     """Gram-Schmidt of the rows ``x[order]`` by CholeskyQR2, never copying them whole.
 
-    ``order`` is an integer array of 0-based row indices.  Returns
+    ``gram`` is ``x @ x.T``, which is not written to, and ``order`` is an
+    integer array of 0-based row indices.  Returns
     ``(basis, coeffs, forward)`` with ``x[order] == coeffs @ basis``,
     ``coeffs`` lower-triangular with a positive diagonal, and
     ``forward @ x == basis``; ``forward`` is the product of the inverse
@@ -94,7 +95,7 @@ def _orthonormal_rows(x, order):
     Fukaya et al. (2020) and one more pass runs (shifted CholeskyQR3).
     """
     n = len(x)
-    gram = (x @ x.T)[order[:, np.newaxis], order]
+    gram = gram[order[:, np.newaxis], order]  # a copy: the shift below writes to it
     norms = np.sqrt(gram.diagonal())
     try:
         factor = np.linalg.cholesky(gram)
@@ -104,6 +105,7 @@ def _orthonormal_rows(x, order):
     if shifted:
         gram.flat[:: n + 1] += 11 * (x.size + n * (n + 1)) * np.finfo(float).eps * np.trace(gram)
         factor = _cholesky(gram, order)
+    del gram  # the passes below hold no N x N copy beside the caller's Gram matrix
     # LU of an upper-triangular matrix pivots nothing, so LAPACK's inverse of
     # the transposed factor is its triangular inverse and keeps the zeros.
     coeffs, forward = factor, np.linalg.inv(factor.T).T
@@ -161,7 +163,7 @@ def gram_schmidt_orthonormal(rows):
         times its own norm.  The message names it as channel ``i + 1``.
     """
     r = _as_finite_array(rows, "rows", ndim=2)
-    return _orthonormal_rows(r, np.arange(len(r)))[:2]
+    return _orthonormal_rows(r, r @ r.T, np.arange(len(r)))[:2]
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,6 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
     energies = [float(np.dot(x, x))]
     vectors, rows = _principal_components(signal)
     for row in rows:
-        energies.append(energies[-1] - float(np.dot(row, row)))
+        energies.append(max(energies[-1] - float(np.dot(row, row)), 0.0))
     found = [(direction, None, None) for direction in vectors.T.copy()]
     return _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))

@@ -11,21 +11,26 @@ complement.  Iterating extracts one source per step.
 ``separate_maximum`` deflates implicitly.  Each deflated residual is
 orthogonal to every direction found so far, so the k-th series is just
 ``d_k . z`` on the whitened data, step k lowers each squared radius by
-``s_k**2`` and the residual energy by ``d_k . G . d_k`` with the Gram
-matrix ``G = z z^T``; only the winning sample's residual is rebuilt,
-exactly, to give the next direction.  Since deflation never makes a
-squared radius grow, the maximum is searched only among candidates: the
-samples whose squared radius starts at or above a cut, at first half the
-largest.  A best candidate at or above the cut is the maximum over every
-sample.  When it falls below, the cut is halved and the samples now
-above it are admitted, their squared radii brought up to date from the
-directions found so far; once the candidates would be more than 1/8 of
-the samples, or when the data hold fewer than 2**15 values, every sample
-is searched, with no copy.  On sparse data the candidates are a few
-percent of the samples, held as one gathered block in sample order, so
-the earliest sample still wins an exact tie.  Once
-every direction is known, the series are written over the whitened
-array itself, block by block, and that array becomes the result.
+``s_k**2`` and the residual energy by ``|s_k|**2``; only the winning
+sample's residual is rebuilt, exactly, to give the next direction.
+Without whitening the loop stops once the energy falls to a floor, so it
+lowers the energy as it goes, by ``d_k . G . d_k`` with the signal's
+Gram matrix ``G = z z^T``.  Whitened rows are orthonormal, so the floor
+cannot stop the loop before N directions: their energies are taken from
+the series once these are written, and no Gram matrix of them is formed.
+Since deflation never makes a squared radius grow, the maximum is
+searched only among candidates: the samples whose squared radius starts
+at or above a cut, at first half the largest.  A best candidate at or
+above the cut is the maximum over every sample.  When it falls below,
+the cut is halved and the samples now above it are admitted, their
+squared radii brought up to date from the directions found so far; once
+the candidates would be more than 1/8 of the samples, or when the data
+hold fewer than 2**15 values, every sample is searched, with no copy.
+On sparse data the candidates are a few percent of the samples, held as
+one gathered block in sample order, so the earliest sample still wins an
+exact tie.  Once every direction is known, the series are written over
+the whitened array itself, block by block, and that array becomes the
+result.
 ``find_maximum_direction``, ``project_source`` and ``deflate`` spell
 out the explicit steps and are the reference that the implicit loop is
 tested against.
@@ -111,9 +116,11 @@ class SeparationResult:
     ``residual_energy`` has one entry per deflation boundary: the total
     sum of squares of the working data before the first extraction and
     after each one; it is non-increasing.  Each later entry is the one
-    before less ``d_k . G . d_k``, with ``G`` the Gram matrix of the
-    working data, clamped at 0; it equals the explicitly deflated
-    residual's sum of squares to rounding (a few ulps of the first entry).
+    before less the estimate's share, clamped at 0: its series' sum of
+    squares, or for the maximum method without whitening
+    ``d_k . G . d_k``, with ``G`` the Gram matrix of the data.  It equals
+    the explicitly deflated residual's sum of squares to rounding (a few
+    ulps of the first entry).
 
     ``series_matrix`` is the read-only K x M block of the estimated
     series; each estimate's ``series`` is a view of its row.  For the
@@ -257,21 +264,21 @@ def separate_maximum(
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
-    x = signal.data.ravel(order="K")  # a view of the contiguous data the constructor makes
-    if np.dot(x, x) == 0.0:  # every square underflows, not only exact zeros
+    if signal._gram.trace() == 0.0:  # every square underflows, not only exact zeros
         raise ZeroSignalError("cannot separate an identically zero signal")
 
     work, transform = apply_whitening(signal, whitening, order)
     if work is signal:  # no whitening: z is the caller's data, and it is overwritten below
         z = signal.data.copy()
-    else:  # the whitened array is this call's own
+        gram = signal._gram  # residual energy k is the last one less d_k . gram . d_k
+    else:  # the whitened array is this call's own, and its rows are orthonormal
         z = work.data
         z.setflags(write=True)
+        gram = None  # residual energy k is the last one less |s_k|**2, from the written series
     r2 = _squared_radii(z)  # squared radii before any deflation
     initial = float(r2.sum())
     if not np.isfinite(initial):
         raise NonFiniteError("signal energy overflows float64; rescale the input")
-    gram = z @ z.T  # residual energy k is the last one less d_k . gram . d_k
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
     series = np.empty(0)  # one series at a time: d_k . zc, then its square
@@ -303,13 +310,17 @@ def separate_maximum(
         np.maximum(r2c, 0.0, out=r2c)  # rounding leaves fully explained samples just below 0
         r2c[best] = 0.0
         found.append((direction, idx, radius))
-        energies.append(max(energies[-1] - float(gram.dot(direction).dot(direction)), 0.0))
+        if gram is not None:
+            energies.append(max(energies[-1] - float(gram.dot(direction).dot(direction)), 0.0))
     # Row k of z becomes d_k . z.  Each block is read whole before it is
     # written, so one K x block product is the only other array.
     directions = np.array([d for d, _, _ in found])
     for start in range(0, z.shape[1], _SERIES_BLOCK):
         block = z[:, start : start + _SERIES_BLOCK]
         block[: len(found)] = directions @ block
+    if gram is None:  # whitened: step k removed exactly |s_k|**2
+        for row in z[: len(found)]:
+            energies.append(max(energies[-1] - float(np.dot(row, row)), 0.0))
     return _result(found, z, energies, "maximum", transform)
 
 

@@ -17,6 +17,7 @@ fixture is meaningful to the experiments built on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,9 @@ class MultichannelSignal:
 
     The constructor is the boundary: it copies its input into C order,
     so results do not depend on the caller's memory layout, and checks
-    the shape and that every value is finite.
+    the shape and that every value is finite.  The Gram matrix of the
+    channels is formed on first use and kept, so a signal analysed more
+    than once (whitened, then separated by PCA) forms it once.
     """
 
     data: np.ndarray
@@ -60,6 +63,18 @@ class MultichannelSignal:
             raise NonFiniteError("signal contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """Read-only ``data @ data.T``: every N x N x M product of the data is this one.
+
+        Kept with the signal, so it must never be read from a signal whose
+        array the package writes later (the whitened array that
+        ``separate_maximum`` overwrites with its series).
+        """
+        gram = self.data @ self.data.T
+        gram.setflags(write=False)
+        return gram
 
     @property
     def n_channels(self) -> int:

@@ -84,7 +84,7 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     order = tuple(range(1, n + 1)) if order is None else tuple(int(i) for i in order)
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidSpecError(f"channel order must be a permutation of 1..{n}, got {order}")
-    basis, _, forward = _orthonormal_rows(signal.data, np.subtract(order, 1))
+    basis, _, forward = _orthonormal_rows(signal.data, signal._gram, np.subtract(order, 1))
     return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", forward, order)
 
 
@@ -92,10 +92,10 @@ def second_moment(signal: MultichannelSignal) -> np.ndarray:
     """Second moment matrix ``C[i][j] = sum_n x_i[n] x_j[n] / M``.
 
     Uncentered: pass ``signals.center(signal)`` to get the covariance
-    matrix.  Symmetric by construction.
+    matrix.  Symmetric by construction.  It scales the signal's own Gram
+    matrix, so PCA whitening and the PCA baseline of one signal share it.
     """
-    x = signal.data
-    c = x @ x.T / signal.n_samples
+    c = signal._gram / signal.n_samples
     return 0.5 * (c + c.T)
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,61 @@ class TestMultichannelSignal:
             assert np.shares_memory(est.series, block[k])
             np.testing.assert_array_equal(est.series, block[k])
             assert not est.series.flags.writeable
+
+    def test_gram_matrix_is_the_data_product_formed_once_and_read_only(self):
+        sig = MultichannelSignal(np.random.default_rng(7).normal(size=(5, 3000)))
+        gram = sig._gram
+        assert gram.tobytes() == (sig.data @ sig.data.T).tobytes()
+        assert not gram.flags.writeable
+        assert sig._gram is gram
+
+    @pytest.mark.parametrize("whitening", ["gram_schmidt", "pca"])
+    def test_no_gram_matrix_for_the_array_that_separation_overwrites(self, monkeypatch, whitening):
+        # separate_maximum writes its series over the whitened array, so a
+        # Gram matrix kept with that array's signal would go stale
+        wrapped = []
+        wrap = MultichannelSignal._wrap.__func__
+
+        def recording(cls, arr):
+            wrapped.append(wrap(cls, arr))
+            return wrapped[-1]
+
+        monkeypatch.setattr(MultichannelSignal, "_wrap", classmethod(recording))
+        separate_maximum(mix(generate_sources(disjoint_sources_spec()), OBLIQUE_MIXING), whitening)
+        assert wrapped
+        assert all("_gram" not in vars(signal) for signal in wrapped)
+
+    def test_threads_sharing_a_signal_get_a_fresh_signals_results(self):
+        # whichever thread needs the Gram matrix first forms it; more threads
+        # than cores and a short switch interval interleave them
+        data = mix(generate_sources(correlated_sources_spec(20_000)), OBLIQUE_MIXING).data
+        jobs = [
+            lambda s: separate_maximum(s, "pca"),
+            lambda s: separate_maximum(s, "gram_schmidt"),
+            lambda s: separate_maximum(s, "none"),
+            pca_separate,
+        ] * 2
+        expected = [job(MultichannelSignal(data)) for job in jobs]
+        shared = MultichannelSignal(data)
+        got = [None] * len(jobs)
+
+        def run(k):
+            got[k] = jobs[k](shared)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for a, b in zip(got, expected):
+            assert a.series_matrix.tobytes() == b.series_matrix.tobytes()
+            assert a.residual_energy.tobytes() == b.residual_energy.tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
