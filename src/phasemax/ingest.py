@@ -452,12 +452,10 @@ def _distinct_codes(arr):
     ``values`` holds each channel's distinct float64 bit patterns (-0.0
     apart from 0.0), channel after channel; ``codes`` is int32.  None as
     soon as a channel has more distinct values than a quarter of its
-    samples; generic data show that in the channel's first quarter, so
-    the whole channel is sorted only when its first quarter passes.  Up
-    to there the table of texts (25 bytes a value, compacted from the
-    formatter's 48 bytes of words) and the codes (4 bytes a sample) take
-    at most 10.25 bytes a sample, about one and a quarter copies of the
-    input.
+    samples.  Up to there the table of texts (25 bytes a value,
+    compacted from the formatter's 48 bytes of words) and the codes (4
+    bytes a sample) take at most 10.25 bytes a sample, about one and a
+    quarter copies of the input.
     """
     n, m = arr.shape
     if n == 0:
@@ -465,11 +463,6 @@ def _distinct_codes(arr):
     codes = np.empty((n, m), dtype=np.int32)
     keys, offset = [], 0
     for i in range(n):
-        # more than m/4 distinct values among the first m//4 + 1 samples
-        # are more than m/4 in the channel; a plain sort counts them fastest
-        head = np.sort(arr[i, : m // 4 + 1].view(np.int64))
-        if head.size and 4 * (1 + np.count_nonzero(head[1:] != head[:-1])) > m:
-            return None
         distinct, inverse = np.unique(arr[i].view(np.int64), return_inverse=True)
         if 4 * len(distinct) > m:
             return None

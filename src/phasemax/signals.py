@@ -17,7 +17,6 @@ fixture is meaningful to the experiments built on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,16 +63,21 @@ class MultichannelSignal:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @cached_property
+    @property
     def _gram(self) -> np.ndarray:
         """Read-only ``data @ data.T``: every N x N x M product of the data is this one.
 
         Kept with the signal, so it must never be read from a signal whose
         array the package writes later (the whitened array that
-        ``separate_maximum`` overwrites with its series).
+        ``separate_maximum`` overwrites with its series).  No lock: threads
+        on one signal may each form it (the same bits), and threads on
+        different signals form theirs at the same time.
         """
-        gram = self.data @ self.data.T
-        gram.setflags(write=False)
+        gram = self.__dict__.get("_gram")
+        if gram is None:
+            gram = self.data @ self.data.T
+            gram.setflags(write=False)
+            self.__dict__["_gram"] = gram
         return gram
 
     @property

@@ -219,13 +219,6 @@ class TestWriteMatrixText:
         labelled=False,
         block=32768,
     )
-    # a first quarter of few values, then too many: the full pass decides
-    @example(
-        table=np.array([[0.5] * 4 + [float(k) for k in range(12)], [2.0] * 16]),
-        delimiter=" ",
-        labelled=False,
-        block=32768,
-    )
     def test_matches_per_value_oracle_on_either_side_of_the_cut(
         self, table, delimiter, labelled, block
     ):

@@ -86,6 +86,34 @@ class TestMultichannelSignal:
         assert wrapped
         assert all("_gram" not in vars(signal) for signal in wrapped)
 
+    def test_threads_on_different_signals_form_their_gram_matrices_at_once(self):
+        # one signal's product, held open, must not hold up another's
+        entered, release = threading.Event(), threading.Event()
+
+        class Held(np.ndarray):
+            def __matmul__(self, other):
+                entered.set()
+                release.wait(timeout=30)
+                return np.asarray(self) @ np.asarray(other)
+
+        held = MultichannelSignal([[1.0, 2.0], [3.0, 4.0]])
+        object.__setattr__(held, "data", held.data.view(Held))
+        free = MultichannelSignal([[5.0, 6.0]])
+        first = threading.Thread(target=lambda: held._gram)
+        first.start()
+        try:
+            assert entered.wait(timeout=30)
+            second = threading.Thread(target=lambda: free._gram)
+            second.start()
+            second.join(timeout=10)
+            formed_alongside = not second.is_alive()
+        finally:
+            release.set()
+            first.join(timeout=30)
+        assert formed_alongside
+        assert free._gram.tolist() == [[61.0]]
+        assert np.asarray(held._gram).tolist() == [[5.0, 11.0], [11.0, 25.0]]
+
     def test_threads_sharing_a_signal_get_a_fresh_signals_results(self):
         # whichever thread needs the Gram matrix first forms it; more threads
         # than cores and a short switch interval interleave them
