@@ -34,21 +34,11 @@ from .evaluation import (
     cross_method_correlations,
     monte_carlo_rms,
     normalize_unit,
-    pearson,
 )
-from .ingest import Recording, read_edf, read_matrix_text, write_edf, write_matrix_text
-from .numerics import EigenDecomposition, gram_schmidt_orthonormal, symmetric_eig
-from .pca import pca_separate, second_moment
-from .separation import (
-    DirectionEstimate,
-    SeparationResult,
-    SourceEstimate,
-    deflate,
-    find_maximum_direction,
-    project_source,
-    radius_series,
-    separate_maximum,
-)
+from .ingest import Recording, read_edf, read_matrix_text, write_matrix_text
+from .numerics import EigenDecomposition, symmetric_eig
+from .pca import pca_separate
+from .separation import SeparationResult, SourceEstimate, radius_series, separate_maximum
 from .signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
@@ -64,6 +54,12 @@ from .signals import (
     generate_sources,
     mix,
 )
-from .whitening import WhiteningTransform, apply_whitening, whiten_gram_schmidt, whiten_pca
+from .whitening import (
+    WhiteningTransform,
+    apply_whitening,
+    second_moment,
+    whiten_gram_schmidt,
+    whiten_pca,
+)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import evaluation, ingest, pca, separation, signals, whitening
-from .errors import InvalidSpecError, PhasemaxError
+from .errors import InvalidSpecError, PhasemaxError, ZeroSignalError
 from .ingest import format_number as _fmt
 
 PRESETS = {
@@ -333,7 +333,9 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_phase(args) -> int:
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     r = separation.radius_series(signal)
-    n_max = separation._maximum_direction(signal, r).argmax_index
+    n_max = int(np.argmax(r))  # the earliest sample wins ties
+    if r[n_max] == 0.0:  # a nonzero radius is at least sqrt(5e-324) ~ 2.2e-162
+        raise ZeroSignalError("signal is identically zero; no direction exists")
     header = ["index"] + [f"z{i + 1}" for i in range(signal.n_channels)] + ["r", "is_max"]
     index = np.arange(signal.n_samples)
     table = np.vstack([index, signal.data, r, index == n_max])

@@ -49,21 +49,6 @@ def normalize_unit(series) -> np.ndarray:
     return x / n
 
 
-def pearson(x, y) -> float:
-    """Centered Pearson correlation coefficient of two equal-length series."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"series lengths differ: {x.shape} vs {y.shape}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(np.dot(xc, xc))
-    sy = np.sqrt(np.dot(yc, yc))
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVarianceError("correlation undefined for a zero-variance series")
-    return float(np.clip(np.dot(xc, yc) / (sx * sy), -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class AssociationReport:
     """Bijective source/estimate pairing with signed correlations.
@@ -80,9 +65,10 @@ class AssociationReport:
 def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson correlations of every row of ``x`` with every row of ``y``.
 
-    Entry ``[i, j]`` is ``pearson(x[i], y[j])`` to rounding.  One pass
-    over fixed-size sample blocks centres each block and accumulates the
-    cross products and centred norms, so no centred copy of a whole
+    Entry ``[i, j]`` is ``(xc . yc) / (|xc| |yc|)``, clipped to [-1, 1],
+    with ``xc = x[i] - mean(x[i])`` and ``yc = y[j] - mean(y[j])``.  One
+    pass over fixed-size sample blocks centres each block and accumulates
+    the cross products and centred norms, so no centred copy of a whole
     matrix is made.  Raises ``NonFiniteError`` if those sums overflow.
     """
     if x.shape[1] != y.shape[1]:

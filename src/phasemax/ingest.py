@@ -14,9 +14,8 @@ Two carriers are supported:
 
 Channel indices are 1-based at every public boundary, matching the
 usual lead numbering of ECG recordings; storage is 0-based internally.
-A matching text writer and a small EDF writer are included so tests and
-pipelines can round-trip files; the EDF writer is not a general-purpose
-exporter.
+A matching text writer is included so pipelines can round-trip text
+files; EDF is only read.
 """
 
 from __future__ import annotations
@@ -651,18 +650,6 @@ def _split(raw: bytes, table, count: int) -> dict:
     return values
 
 
-def _join(values: dict, table, count: int) -> bytes:
-    """Inverse of ``_split``: each value padded to its field width; a field not given is blank."""
-    out = []
-    for name, size in table:
-        for text in values.get(name, [""] * count):
-            raw = text.encode("ascii")
-            if len(raw) > size:
-                raise MalformedHeaderError(name, f"{name} value {text!r} exceeds {size} bytes")
-            out.append(raw.ljust(size))
-    return b"".join(out)
-
-
 def _number(name: str, text: str):
     """Parse numeric header field ``name`` as its ``_NUMBERS`` type and check its range."""
     kind = _NUMBERS[name]
@@ -822,85 +809,3 @@ def read_edf(path, channels=None, max_samples: int | None = None) -> Recording:
         tuple(header.labels[i] for i in indices),
         rate,
     )
-
-
-def _number_field(value: float, field: str) -> str:
-    """Shortest decimal text for a float that fits an 8-byte EDF field."""
-    for digits in range(7, 0, -1):
-        text = format(float(value), f".{digits}g")
-        if len(text) <= 8:
-            return text
-    raise MalformedHeaderError(field, f"cannot represent {value!r} in 8 bytes")
-
-
-def write_edf(
-    path,
-    rec: Recording,
-    physical_range=None,
-    digital_range=(-32768, 32767),
-    samples_per_record: int | None = None,
-) -> None:
-    """Write a Recording as a minimal single-rate EDF file.
-
-    Exists so tests and synthetic pipelines can round-trip data; not a
-    general exporter.  All channels share the digital range and the
-    per-record sample count, which must divide the sample count.
-    ``physical_range`` defaults to each channel's own (min, max),
-    widened when degenerate.
-    """
-    data = rec.signal.data
-    n, m = data.shape
-    spr = m if samples_per_record is None else int(samples_per_record)
-    if spr < 1 or m % spr != 0:
-        raise MalformedHeaderError(
-            "samples_per_record", f"samples_per_record {spr} must divide sample count {m}"
-        )
-    n_records = m // spr
-    dmin, dmax = int(digital_range[0]), int(digital_range[1])
-    if dmax <= dmin:
-        raise MalformedHeaderError("digital_range", "digital max must exceed digital min")
-
-    ranges = []
-    for i in range(n):
-        if physical_range is not None:
-            pmin, pmax = float(physical_range[0]), float(physical_range[1])
-        else:
-            pmin, pmax = float(data[i].min()), float(data[i].max())
-            if pmax <= pmin:
-                pmin, pmax = pmin - 1.0, pmax + 1.0
-        ranges.append((pmin, pmax))
-
-    duration = 1.0 if rec.sample_rate is None else spr / rec.sample_rate
-    fixed = {
-        "version": "0",
-        "patient_id": "synthetic",
-        "recording_id": "phasemax test writer",
-        "start_date": "01.01.00",
-        "start_time": "00.00.00",
-        "header_bytes": str(256 + 256 * n),
-        "n_records": str(n_records),
-        "record_duration": _number_field(duration, "record_duration"),
-        "n_signals": str(n),
-    }
-    per_signal = {
-        "label": rec.labels,
-        "physical_min": [_number_field(pmin, "physical_min") for pmin, _ in ranges],
-        "physical_max": [_number_field(pmax, "physical_max") for _, pmax in ranges],
-        "digital_min": [str(dmin)] * n,
-        "digital_max": [str(dmax)] * n,
-        "samples_per_record": [str(spr)] * n,
-    }
-    header = _join({name: [text] for name, text in fixed.items()}, _FIXED_FIELDS, 1)
-    header += _join(per_signal, _SIGNAL_FIELDS, n)
-
-    records = np.empty((n_records, n * spr), dtype="<i2")
-    for i in range(n):
-        # digitize with the physical range exactly as a reader will parse it
-        pmin, pmax = float(per_signal["physical_min"][i]), float(per_signal["physical_max"][i])
-        scaled = (data[i] - pmin) * (dmax - dmin) / (pmax - pmin) + dmin
-        digital = np.clip(np.rint(scaled), dmin, dmax).astype("<i2")
-        records[:, i * spr : (i + 1) * spr] = digital.reshape(n_records, spr)
-
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())

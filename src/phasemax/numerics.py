@@ -133,39 +133,6 @@ def _orthonormal_rows(x, gram, order):
     return basis, coeffs, forward[:, np.argsort(order)]
 
 
-def gram_schmidt_orthonormal(rows):
-    """Orthonormalize a sequence of vectors, keeping the change of basis.
-
-    Gram-Schmidt over ``rows`` in the order given, computed by CholeskyQR2
-    (shifted CholeskyQR3 when the rows are ill-conditioned).  The first
-    basis vector is the first row rescaled to unit length; every later
-    basis vector is the unit residual of the corresponding row after
-    projecting out all earlier basis vectors.
-
-    Parameters
-    ----------
-    rows : array_like
-        Sequence of k vectors of equal dimension, stacked as rows.
-
-    Returns
-    -------
-    basis : ndarray, shape (k, dim)
-        Pairwise orthogonal unit vectors spanning the same space.
-    coeffs : ndarray, shape (k, k)
-        Lower-triangular map from basis back to the input:
-        ``rows == coeffs @ basis`` up to rounding.
-
-    Raises
-    ------
-    DegenerateInputError
-        If some row is (numerically) a linear combination of the rows
-        before it: its residual norm ``coeffs[i, i]`` is at most 1e-12
-        times its own norm.  The message names it as channel ``i + 1``.
-    """
-    r = _as_finite_array(rows, "rows", ndim=2)
-    return _orthonormal_rows(r, r @ r.T, np.arange(len(r)))[:2]
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix.

@@ -20,8 +20,7 @@ import numpy as np
 
 from .separation import SeparationResult, _result
 from .signals import MultichannelSignal
-# second_moment stays importable from here: it is the baseline's matrix.
-from .whitening import WhiteningTransform, _principal_components, second_moment
+from .whitening import WhiteningTransform, _principal_components
 
 
 def pca_separate(signal: MultichannelSignal) -> SeparationResult:

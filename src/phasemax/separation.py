@@ -31,9 +31,6 @@ one gathered block in sample order, so the earliest sample still wins an
 exact tie.  Once every direction is known, the series are written over
 the whitened array itself, block by block, and that array becomes the
 result.
-``find_maximum_direction``, ``project_source`` and ``deflate`` spell
-out the explicit steps and are the reference that the implicit loop is
-tested against.
 
 On whitened data the directions of sources with zero sample
 cross-product are orthogonal, so each projection is a clean scaled copy
@@ -50,12 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, NonFiniteError, ZeroSignalError
+from .errors import NonFiniteError, ZeroSignalError
 from .signals import MultichannelSignal
 from .whitening import WhiteningTransform, apply_whitening
-
-# Radii below this are treated as identically zero signal.
-_ZERO_RADIUS = 1e-300
 
 # Stop deflating once this fraction of the initial energy remains.
 DEFAULT_ENERGY_FLOOR = 1e-12
@@ -74,25 +68,6 @@ _CUT_START = 0.5
 _CUT_STEP = 0.5
 _CANDIDATE_SHARE = 1 / 8
 _CANDIDATE_MIN_VALUES = 1 << 15
-
-
-@dataclass(frozen=True)
-class DirectionEstimate:
-    """A detected source direction: unit vector, argmax sample, radius."""
-
-    direction: np.ndarray
-    argmax_index: int
-    radius: float
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.sqrt(np.dot(d, d)) - 1.0) > 1e-12:
-            raise InvalidSpecError("direction must have unit norm")
-        if self.radius < 0.0:
-            raise InvalidSpecError("radius must be >= 0")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
 
 
 @dataclass(frozen=True)
@@ -164,68 +139,6 @@ def radius_series(signal: MultichannelSignal) -> np.ndarray:
 def _squared_radii(z: np.ndarray) -> np.ndarray:
     """``(z**2).sum(axis=0)`` without the N x M squares (bit for bit when M > 1)."""
     return np.einsum("ij,ij->j", z, z)
-
-
-def find_maximum_direction(signal: MultichannelSignal) -> DirectionEstimate:
-    """Unit vector toward the trajectory point farthest from the origin.
-
-    The earliest sample wins exact radius ties.
-
-    Raises
-    ------
-    ZeroSignalError
-        If every sample is zero (radius below 1e-300).
-    NonFiniteError
-        If a squared radius overflows float64.
-    """
-    return _maximum_direction(signal, radius_series(signal))
-
-
-def _maximum_direction(signal: MultichannelSignal, r: np.ndarray) -> DirectionEstimate:
-    """``find_maximum_direction`` given the radii ``r = radius_series(signal)``."""
-    idx = int(np.argmax(r))  # first occurrence on ties
-    if r[idx] < _ZERO_RADIUS:
-        raise ZeroSignalError("signal is identically zero; no direction exists")
-    return DirectionEstimate(signal.data[:, idx] / r[idx], idx, float(r[idx]))
-
-
-def _direction_vector(d) -> np.ndarray:
-    if isinstance(d, DirectionEstimate):
-        return d.direction
-    return np.asarray(d, dtype=float)
-
-
-def project_source(signal: MultichannelSignal, d) -> np.ndarray:
-    """Component of every trajectory point along a unit direction.
-
-    Returns the series ``s[n] = direction . z[n]``.
-    """
-    direction = _direction_vector(d)
-    if direction.shape != (signal.n_channels,):
-        raise DimensionMismatchError(
-            f"direction has dimension {direction.shape}, signal has {signal.n_channels} channels"
-        )
-    return direction @ signal.data
-
-
-def deflate(signal: MultichannelSignal, d, series) -> MultichannelSignal:
-    """Remove a source's rank-1 contribution from the trajectory.
-
-    Computes ``z'[n] = z[n] - series[n] * direction``; with
-    ``series = project_source(signal, d)`` every residual point is
-    orthogonal to the removed direction.
-    """
-    direction = _direction_vector(d)
-    series = np.asarray(series, dtype=float)
-    if direction.shape != (signal.n_channels,):
-        raise DimensionMismatchError(
-            f"direction has dimension {direction.shape}, signal has {signal.n_channels} channels"
-        )
-    if series.shape != (signal.n_samples,):
-        raise DimensionMismatchError(
-            f"series has shape {series.shape}, signal has {signal.n_samples} samples"
-        )
-    return MultichannelSignal(signal.data - np.outer(direction, series))
 
 
 def separate_maximum(
@@ -300,7 +213,8 @@ def separate_maximum(
         for earlier, _, _ in found:
             column -= (earlier @ column) * earlier
         radius = float(np.sqrt((column**2).sum()))
-        if radius < _ZERO_RADIUS:
+        # a nonzero root of a sum of squares is at least sqrt(5e-324) ~ 2.2e-162
+        if radius == 0.0:
             raise ZeroSignalError("residual is identically zero; no direction exists")
         direction = column / radius
         if series.size < zc.shape[1]:  # samples were admitted

@@ -10,8 +10,7 @@ import pytest
 from phasemax import cli, errors
 from phasemax.cli import main, parse_channels, parse_mixing
 from phasemax.errors import InvalidSpecError
-from phasemax.ingest import read_matrix_text, write_edf, write_matrix_text
-from phasemax.ingest import Recording
+from phasemax.ingest import Recording, read_matrix_text, write_matrix_text
 from phasemax.pca import pca_separate
 from phasemax.separation import radius_series
 from phasemax.signals import (
@@ -22,6 +21,7 @@ from phasemax.signals import (
     generate_sources,
     mix,
 )
+from reference import write_edf
 
 
 def run(*args):
@@ -342,6 +342,21 @@ class TestPhase:
         values = np.vstack([signal.data, radius_series(signal)])
         assert [row[1:-1] for row in rows] == [
             [format(float(v), ".17g") for v in column] for column in values.T
+        ]
+
+    def test_small_values_flag_the_sample_separate_finds(self, tmp_path, capsys):
+        # the squares of these values are subnormal: the radii keep few digits,
+        # and a unit vector built from them is off unit norm by far more than 1e-12
+        table = tmp_path / "small.txt"
+        table.write_text("3e-160 1e-161\n1e-161 2e-160\n")
+        doc, out = tmp_path / "d.txt", tmp_path / "phase.txt"
+        assert run("separate", table, "--out-directions", doc, tmp_path / "e.txt") == 0
+        assert run("phase", table, out) == 0
+        assert capsys.readouterr().err == ""
+        lines = doc.read_text().splitlines()
+        n_max = int(next(t for t in lines if t.startswith("estimate_1_argmax_index:")).split()[1])
+        assert [row.split()[-1] for row in out.read_text().splitlines()[1:]] == [
+            "1" if n == n_max else "0" for n in range(2)
         ]
 
     def test_round_trips_radius_exactly(self, tmp_path, mixture_file):

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from phasemax.cli import main
-from phasemax.ingest import Recording, write_edf
+from phasemax.ingest import Recording
 from phasemax.signals import MultichannelSignal
+from reference import write_edf
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 

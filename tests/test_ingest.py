@@ -25,10 +25,10 @@ from phasemax.ingest import (
     read_edf,
     read_edf_header,
     read_matrix_text,
-    write_edf,
     write_matrix_text,
 )
 from phasemax.signals import MultichannelSignal
+from reference import write_edf
 
 
 # ---------------------------------------------------------------------------

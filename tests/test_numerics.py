@@ -9,31 +9,37 @@ from phasemax.errors import (
     NonFiniteError,
     NotSymmetricError,
 )
-from phasemax.numerics import gram_schmidt_orthonormal, symmetric_eig
+from phasemax.numerics import _as_finite_array, _orthonormal_rows, symmetric_eig
+
+
+def gram_schmidt(rows):
+    """Gram-Schmidt of ``rows`` in the order given: ``(basis, coeffs)``."""
+    r = np.asarray(rows, dtype=float)
+    return _orthonormal_rows(r, r @ r.T, np.arange(len(r)))[:2]
 
 
 class TestGramSchmidt:
     def test_identity_rows_unchanged(self):
-        basis, coeffs = gram_schmidt_orthonormal([[1.0, 0.0], [0.0, 1.0]])
+        basis, coeffs = gram_schmidt([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(basis, np.eye(2))
         np.testing.assert_array_equal(coeffs, np.eye(2))
 
     def test_axis_aligned_projection(self):
-        basis, coeffs = gram_schmidt_orthonormal([[2.0, 0.0], [1.0, 1.0]])
+        basis, coeffs = gram_schmidt([[2.0, 0.0], [1.0, 1.0]])
         np.testing.assert_allclose(basis, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(coeffs, [[2.0, 0.0], [1.0, 1.0]], atol=1e-15)
 
     def test_random_basis_gram_matrix_is_identity(self):
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(3, 3))
-        basis, _ = gram_schmidt_orthonormal(rows)
+        basis, _ = gram_schmidt(rows)
         gram = basis @ basis.T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(4, 6))
-        basis, coeffs = gram_schmidt_orthonormal(rows)
+        basis, coeffs = gram_schmidt(rows)
         scale = np.max(np.abs(rows))
         assert np.max(np.abs(coeffs @ basis - rows)) <= 1e-9 * scale
         # coeffs is lower triangular in the given order
@@ -42,7 +48,7 @@ class TestGramSchmidt:
     def test_bessel_inequality(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(3, 5))
-        basis, _ = gram_schmidt_orthonormal(rows)
+        basis, _ = gram_schmidt(rows)
         v = rng.normal(size=5)
         projected = sum(float(np.dot(v, b)) ** 2 for b in basis)
         assert projected <= np.linalg.norm(v) ** 2 + 1e-9
@@ -50,7 +56,7 @@ class TestGramSchmidt:
     def test_bessel_equality_for_full_basis(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(4, 4))
-        basis, _ = gram_schmidt_orthonormal(rows)
+        basis, _ = gram_schmidt(rows)
         v = rng.normal(size=4)
         projected = sum(float(np.dot(v, b)) ** 2 for b in basis)
         assert projected == pytest.approx(np.linalg.norm(v) ** 2, abs=1e-9)
@@ -64,7 +70,7 @@ class TestGramSchmidt:
         u, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         v, _ = np.linalg.qr(rng.normal(size=(20_000, 8)))
         rows = (u * np.logspace(0, -10, 8)) @ v.T * rng.uniform(0.1, 10, size=(8, 1))
-        basis, coeffs = gram_schmidt_orthonormal(rows)
+        basis, coeffs = gram_schmidt(rows)
         assert np.abs(basis @ basis.T - np.eye(8)).max() <= 1e-14
         assert np.abs(rows - coeffs @ basis).max() <= 1e-15 * np.abs(rows).max()
 
@@ -79,21 +85,21 @@ class TestGramSchmidt:
     )
     def test_dependent_row_is_named(self, rows, row):
         with pytest.raises(DegenerateInputError, match=f"^channel {row + 1} is linearly dependent"):
-            gram_schmidt_orthonormal(rows)
+            gram_schmidt(rows)
 
     @pytest.mark.parametrize("rows", [[[1e160, 1e160, 3.0], [1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 1e200]]])
     def test_overflowing_rows_raise_instead_of_giving_nan(self, rows):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateInputError):
-                gram_schmidt_orthonormal(rows)
+                gram_schmidt(rows)
 
     def test_linear_dependence_raises(self):
         with pytest.raises(DegenerateInputError):
-            gram_schmidt_orthonormal([[1.0, 2.0], [2.0, 4.0]])
+            gram_schmidt([[1.0, 2.0], [2.0, 4.0]])
 
     def test_zero_row_raises(self):
         with pytest.raises(DegenerateInputError):
-            gram_schmidt_orthonormal([[1.0, 0.0], [0.0, 0.0]])
+            gram_schmidt([[1.0, 0.0], [0.0, 0.0]])
 
 
     def test_non_finite_value_raises_without_masking_the_whole_table(self):
@@ -102,7 +108,7 @@ class TestGramSchmidt:
         tracemalloc.start()
         try:
             with pytest.raises(NonFiniteError):
-                gram_schmidt_orthonormal(rows)
+                _as_finite_array(rows, "rows", ndim=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from phasemax.errors import DegenerateInputError
-from phasemax.evaluation import pearson
 from phasemax.numerics import symmetric_eig
-from phasemax.pca import pca_separate, second_moment
+from phasemax.pca import pca_separate
 from phasemax.signals import (
     OBLIQUE_MIXING,
     MultichannelSignal,
@@ -13,6 +12,8 @@ from phasemax.signals import (
     generate_sources,
     mix,
 )
+from phasemax.whitening import second_moment
+from reference import pearson
 
 
 @pytest.fixture

@@ -3,22 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasemax.errors import (
-    DimensionMismatchError,
-    InvalidSpecError,
-    NonFiniteError,
-    ZeroSignalError,
-)
-from phasemax.separation import (
-    DEFAULT_ENERGY_FLOOR,
-    DirectionEstimate,
-    deflate,
-    find_maximum_direction,
-    project_source,
-    radius_series,
-    separate_maximum,
-)
-from phasemax.evaluation import pearson
+from phasemax.errors import InvalidSpecError, NonFiniteError, ZeroSignalError
+from phasemax.separation import radius_series, separate_maximum
 from phasemax.signals import (
     DOMINANT_MIXING,
     OBLIQUE_MIXING,
@@ -34,6 +20,7 @@ from phasemax.signals import (
     mix,
 )
 from phasemax.whitening import apply_whitening, whiten_gram_schmidt
+from reference import explicit_deflation, pearson
 
 
 @pytest.fixture
@@ -65,12 +52,22 @@ class TestRadiusSeries:
                 acc += data[i, n] ** 2
             assert abs(r[n] - acc**0.5) <= 1e-12
 
+    def test_overflowing_radii_raise(self):
+        # phase takes the radii, not the energy
+        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            radius_series(big)
 
-class TestFindMaximumDirection:
+
+def first_estimate(data, whitening="none"):
+    return separate_maximum(MultichannelSignal(data), whitening=whitening).estimates[0]
+
+
+class TestFirstMaximum:
     def test_single_nonzero_sample(self):
         data = np.zeros((2, 10))
         data[1, 7] = 5.0
-        found = find_maximum_direction(MultichannelSignal(data))
+        found = first_estimate(data)
         np.testing.assert_array_equal(found.direction, [0.0, 1.0])
         assert found.argmax_index == 7
         assert found.radius == 5.0
@@ -79,15 +76,14 @@ class TestFindMaximumDirection:
         data = np.zeros((2, 12))
         data[:, 3] = [3.0, 4.0]
         data[:, 9] = [5.0, 0.0]
-        found = find_maximum_direction(MultichannelSignal(data))
-        assert found.argmax_index == 3
+        assert first_estimate(data).argmax_index == 3
 
     def test_whitened_mixture_matches_forward_model_oracle(self, disjoint_sources, oblique_mixture):
-        white, transform = whiten_gram_schmidt(oblique_mixture)
-        found = find_maximum_direction(white)
+        result = separate_maximum(oblique_mixture, whitening="gram_schmidt")
+        found = result.estimates[0]
         # oracle: image of each true source direction under the transform,
         # the detected one being whichever has the larger normalized peak
-        images = [transform.forward @ OBLIQUE_MIXING[:, j] for j in range(2)]
+        images = [result.whitening.forward @ OBLIQUE_MIXING[:, j] for j in range(2)]
         peaks = [
             np.max(np.abs(disjoint_sources.data[j])) * np.linalg.norm(images[j])
             for j in range(2)
@@ -97,40 +93,28 @@ class TestFindMaximumDirection:
         angle = np.arccos(min(1.0, abs(float(found.direction @ expected))))
         assert angle <= 1e-6
 
-    def test_zero_signal_raises(self):
-        with pytest.raises(ZeroSignalError):
-            find_maximum_direction(MultichannelSignal(np.zeros((2, 4))))
 
-    def test_overflowing_radii_raise(self):
-        # phase and find_maximum_direction take the radii, not the energy
-        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
-        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            radius_series(big)
-        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            find_maximum_direction(big)
-
-
-class TestProjectSource:
-    def test_aligned_signal_recovers_series(self):
+class TestProjection:
+    def test_rank_one_signal_recovers_series(self):
+        # the farthest sample holds series value -2, so the direction found is -direction
         direction = np.array([0.6, 0.8])
         series = np.array([1.0, -2.0, 0.5, 0.0])
-        sig = MultichannelSignal(np.outer(direction, series))
-        d = DirectionEstimate(direction, 0, 1.0)
-        np.testing.assert_allclose(project_source(sig, d), series, atol=1e-12)
+        found = first_estimate(np.outer(direction, series))
+        np.testing.assert_allclose(found.direction, -direction, atol=1e-15)
+        np.testing.assert_allclose(found.series, -series, atol=1e-12)
 
-    def test_orthogonal_direction_gives_zeros(self):
-        direction = np.array([1.0, 0.0])
-        sig = MultichannelSignal(np.vstack([np.zeros(5), np.arange(5.0)]))
-        out = project_source(sig, DirectionEstimate(direction, 0, 1.0))
-        np.testing.assert_allclose(out, np.zeros(5), atol=1e-12)
+    def test_orthogonal_samples_project_to_zero(self):
+        # samples 1-4 lie on channel 2, orthogonal to the first direction (channel 1)
+        data = np.vstack([[6.0, 0, 0, 0, 0], np.arange(5.0)])
+        found = first_estimate(data)
+        np.testing.assert_array_equal(found.direction, [1.0, 0.0])
+        np.testing.assert_allclose(found.series, [6.0, 0, 0, 0, 0], atol=1e-12)
 
     def test_unwhitened_projection_contains_contamination_term(self):
         # correlated two-source mixture, no whitening: the first projection
         # equals s1*R1 + s2*R2*(R1hat . R2hat) built from the known geometry
         src = generate_sources(correlated_sources_spec())
-        mixed = mix(src, DOMINANT_MIXING)
-        found = find_maximum_direction(mixed)
-        series = project_source(mixed, found)
+        series = first_estimate(mix(src, DOMINANT_MIXING).data).series
 
         col1, col2 = DOMINANT_MIXING[:, 0], DOMINANT_MIXING[:, 1]
         r1, r2 = np.linalg.norm(col1), np.linalg.norm(col2)
@@ -138,26 +122,21 @@ class TestProjectSource:
         oracle = src.data[0] * r1 + src.data[1] * r2 * cos12
         assert np.max(np.abs(series - oracle)) <= 1e-9 * np.max(np.abs(series))
 
-    def test_dimension_mismatch(self):
-        sig = MultichannelSignal(np.ones((3, 4)))
-        with pytest.raises(DimensionMismatchError):
-            project_source(sig, np.array([1.0, 0.0]))
 
-
-class TestDeflate:
+class TestDeflation:
     def test_rank_one_signal_leaves_zero_residual(self):
         direction = np.array([0.8, -0.6])
         series = np.linspace(-1, 1, 9)
-        sig = MultichannelSignal(np.outer(direction, series))
-        out = deflate(sig, direction, project_source(sig, direction))
-        assert np.max(np.abs(out.data)) <= 1e-12
+        result = separate_maximum(MultichannelSignal(np.outer(direction, series)), whitening="none")
+        assert len(result.estimates) == 1  # the residual falls below the energy floor
+        assert result.residual_energy[1] <= 1e-12 * result.residual_energy[0]
 
-    def test_orthogonal_signal_unchanged(self):
-        direction = np.array([1.0, 0.0])
-        data = np.vstack([np.zeros(6), np.arange(6.0)])
-        sig = MultichannelSignal(data)
-        out = deflate(sig, direction, project_source(sig, direction))
-        np.testing.assert_allclose(out.data, data, atol=1e-12)
+    def test_orthogonal_part_unchanged(self):
+        # deflating channel 1 leaves channel 2 as it was: the second series is channel 2
+        data = np.vstack([[6.0, 0, 0, 0, 0, 0], np.arange(6.0)])
+        second = separate_maximum(MultichannelSignal(data), whitening="none").estimates[1]
+        np.testing.assert_array_equal(second.direction, [0.0, 1.0])
+        np.testing.assert_allclose(second.series, data[1], atol=1e-12)
 
     def test_whitened_residual_is_scaled_remaining_direction(
         self, disjoint_sources, oblique_mixture
@@ -165,20 +144,15 @@ class TestDeflate:
         # after removing the first detected source from whitened data the
         # residual must be a rank-1 copy of the other source's direction
         white, transform = whiten_gram_schmidt(oblique_mixture)
-        found = find_maximum_direction(white)
-        residual = deflate(white, found, project_source(white, found))
+        found = separate_maximum(oblique_mixture, whitening="gram_schmidt").estimates[0]
+        residual = white.data - np.outer(found.direction, found.series)
 
         images = [transform.forward @ OBLIQUE_MIXING[:, j] for j in range(2)]
         d = found.direction
         reduced = [b - d * float(d @ b) for b in images]
         oracle = sum(np.outer(reduced[j], disjoint_sources.data[j]) for j in range(2))
         scale = np.max(np.abs(white.data))
-        np.testing.assert_allclose(residual.data, oracle, atol=1e-9 * scale)
-
-    def test_shape_checks(self):
-        sig = MultichannelSignal(np.ones((2, 5)))
-        with pytest.raises(DimensionMismatchError):
-            deflate(sig, np.array([1.0, 0.0]), np.ones(4))
+        np.testing.assert_allclose(residual, oracle, atol=1e-9 * scale)
 
 
 class TestSeparateMaximum:
@@ -237,13 +211,9 @@ class TestSeparationProperties:
         for _ in range(100):
             n = int(rng.integers(2, 7))
             data = rng.normal(size=(n, int(rng.integers(20, 80))))
-            sig = MultichannelSignal(data)
-            bound = 1e-10 * np.max(radius_series(sig))
-            work = sig
-            for _ in range(n):
-                found = find_maximum_direction(work)
-                work = deflate(work, found, project_source(work, found))
-                assert np.max(np.abs(found.direction @ work.data)) <= bound
+            bound = 1e-10 * np.max(radius_series(MultichannelSignal(data)))
+            for step in explicit_deflation(data):
+                assert np.max(np.abs(step.direction @ step.residual)) <= bound
 
     def test_energy_strictly_decreases(self):
         rng = np.random.default_rng(56)
@@ -287,20 +257,41 @@ class TestSeparationProperties:
         assert np.all(np.diff(result.residual_energy) <= 0)
 
 
-def explicit_deflation(signal, whitening):
-    """The reference loop: find the maximum, project, deflate the whole residual."""
-    work, _ = apply_whitening(signal, whitening)
-    energies = [float((work.data**2).sum())]
-    found_list, series_list = [], []
-    floor = DEFAULT_ENERGY_FLOOR * energies[0]
-    while len(found_list) < signal.n_channels and energies[-1] > floor:
-        found = find_maximum_direction(work)
-        series = project_source(work, found)
-        work = deflate(work, found, series)
-        found_list.append(found)
-        series_list.append(series)
-        energies.append(float((work.data**2).sum()))
-    return found_list, series_list, np.array(energies)
+# Whitened rows are orthonormal, so the whitened data of A @ x is a rotation
+# of that of x for any invertible A, in every backend and channel order: the
+# radii, argmax sequence and series d_k . z are the same.  Rounding grows with
+# the mixing's condition number; the worst measured error was 1.5e-15 * cond
+# of the largest value, and the bound, fixed before the test first ran, is
+# 64 eps * cond.
+FRAME_TOL = 64 * np.finfo(float).eps
+
+
+class TestFrameInvariance:
+    @pytest.mark.parametrize(
+        "spec", [disjoint_sources_spec, correlated_sources_spec, coincident_peaks_spec]
+    )
+    @pytest.mark.parametrize(
+        "whitening, order",
+        [("gram_schmidt", None), ("gram_schmidt", (2, 1)), ("pca", None)],
+        ids=["gram_schmidt", "gram_schmidt-order-2-1", "pca"],
+    )
+    def test_mixing_changes_no_series(self, spec, whitening, order):
+        sources = add_noise(generate_sources(spec()), NoiseSpec(0.01, 3))
+        unmixed = separate_maximum(sources, whitening="gram_schmidt")
+        scale = np.abs(unmixed.series_matrix).max()
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            mixing = rng.normal(size=(2, 2))
+            result = separate_maximum(mix(sources, mixing), whitening=whitening, order=order)
+            assert [e.argmax_index for e in result.estimates] == [
+                e.argmax_index for e in unmixed.estimates
+            ]
+            np.testing.assert_allclose(
+                result.series_matrix,
+                unmixed.series_matrix,
+                rtol=0,
+                atol=FRAME_TOL * np.linalg.cond(mixing) * scale,
+            )
 
 
 def c3_random_trials():
@@ -376,13 +367,17 @@ class TestImplicitDeflation:
 
     @staticmethod
     def assert_matches_reference(signal, whitening):
-        found, series, energies = explicit_deflation(signal, whitening)
+        z = apply_whitening(signal, whitening)[0].data
+        energies, steps = [np.sum(z**2)], []
+        for step in explicit_deflation(z):
+            energies.append(np.sum(step.residual**2))
+            steps.append(step._replace(residual=None))  # one N x M residual at a time
         result = separate_maximum(signal, whitening=whitening)
-        assert [e.argmax_index for e in result.estimates] == [f.argmax_index for f in found]
-        for est, f, s in zip(result.estimates, found, series):
-            np.testing.assert_allclose(est.series, s, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(est.direction, f.direction, rtol=0, atol=1e-12)
-            assert est.radius == pytest.approx(f.radius, rel=1e-12)
+        assert [e.argmax_index for e in result.estimates] == [step.index for step in steps]
+        for est, step in zip(result.estimates, steps):
+            np.testing.assert_allclose(est.series, step.series, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(est.direction, step.direction, rtol=0, atol=1e-12)
+            assert est.radius == pytest.approx(step.radius, rel=1e-12)
         np.testing.assert_allclose(
             result.residual_energy, energies, rtol=0, atol=ENERGY_ULPS * np.spacing(energies[0])
         )
