@@ -22,6 +22,7 @@ from .errors import (
     ZeroSeriesError,
     ZeroVarianceError,
 )
+from .numerics import _row_squares
 from .pca import pca_separate
 from .separation import SeparationResult, separate_maximum
 from .signals import (
@@ -66,29 +67,58 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson correlations of every row of ``x`` with every row of ``y``.
 
     Entry ``[i, j]`` is ``(xc . yc) / (|xc| |yc|)``, clipped to [-1, 1],
-    with ``xc = x[i] - mean(x[i])`` and ``yc = y[j] - mean(y[j])``.  One
-    pass over fixed-size sample blocks centres each block and accumulates
-    the cross products and centred norms, so no centred copy of a whole
-    matrix is made.  Raises ``NonFiniteError`` if those sums overflow.
+    with ``xc = x[i] - mean(x[i])`` and ``yc = y[j] - mean(y[j])``.
+
+    One pass over blocks of ``_CORRELATION_BLOCK`` samples reads each
+    array once; no separate pass takes the means.  The first block is
+    centred on its own mean, and a table of one block needs nothing more.
+    Each later block is centred, in the first block's buffers, on the
+    mean of the samples before it.  Its cross products come from one
+    matrix product, its squared norms from one dot product per row, and
+    its exact mean from its centred sums.  It merges by the pairwise
+    update of Chan, Golub & LeVeque (1983): the centred sums grow by the
+    block's own plus ``n_a n_b / (n_a + n_b)`` times the product of the
+    differences of the two means.  Every shift is known to the bit, so
+    rows offset far above their spread lose no digits.  Raises
+    ``NonFiniteError`` if the sums overflow and ``ZeroVarianceError`` if
+    a centred norm is not positive.
     """
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(
             f"series lengths differ: {x.shape[1]} vs {y.shape[1]} samples"
         )
-    x_mean = x.mean(axis=1, keepdims=True)
-    y_mean = y.mean(axis=1, keepdims=True)
-    cross = np.zeros((len(x), len(y)))
-    x_sq = np.zeros(len(x))
-    y_sq = np.zeros(len(y))
-    for start in range(0, x.shape[1], _CORRELATION_BLOCK):
-        xc = x[:, start : start + _CORRELATION_BLOCK] - x_mean
-        yc = y[:, start : start + _CORRELATION_BLOCK] - y_mean
-        cross += xc @ yc.T
-        x_sq += (xc**2).sum(axis=1)
-        y_sq += (yc**2).sum(axis=1)
+    m = x.shape[1]
+    width = min(m, _CORRELATION_BLOCK)
+    # The first block, centred on its own mean: all that a table of one block needs.
+    x_ref, y_ref = x[:, :width].mean(axis=1), y[:, :width].mean(axis=1)
+    xc, yc = x[:, :width] - x_ref[:, None], y[:, :width] - y_ref[:, None]
+    cross, x_sq, y_sq = xc @ yc.T, _row_squares(xc), _row_squares(yc)
+    if m > width:
+        # The first block's mean less the rounded one, which the merges need.
+        x_off, y_off = xc.sum(axis=1) / width, yc.sum(axis=1) / width
+        cross -= width * np.outer(x_off, y_off)
+        x_sq -= width * x_off * x_off
+        y_sq -= width * y_off * y_off
+    for start in range(width, m, width):
+        size = min(width, m - start)
+        # the running mean, x_ref + x_off, rounded: each block is centred on it exactly
+        x_shift, y_shift = x_ref + x_off, y_ref + y_off
+        xb = np.subtract(x[:, start : start + size], x_shift[:, None], out=xc[:, :size])
+        yb = np.subtract(y[:, start : start + size], y_shift[:, None], out=yc[:, :size])
+        x_mean, y_mean = xb.sum(axis=1) / size, yb.sum(axis=1) / size  # less the shift
+        # the block's mean less the running mean, with the shift's rounding put back
+        dx = (x_shift - x_ref - x_off) + x_mean
+        dy = (y_shift - y_ref - y_off) + y_mean
+        weight = start * size / (start + size)
+        cross += xb @ yb.T - size * np.outer(x_mean, y_mean) + weight * np.outer(dx, dy)
+        x_sq += _row_squares(xb) - size * x_mean * x_mean + weight * dx * dx
+        y_sq += _row_squares(yb) - size * y_mean * y_mean + weight * dy * dy
+        x_off = x_off + dx * (size / (start + size))
+        y_off = y_off + dy * (size / (start + size))
     if not (np.isfinite(cross).all() and np.isfinite(x_sq).all() and np.isfinite(y_sq).all()):
         raise NonFiniteError("correlation sums overflow float64; rescale the input")
-    if np.any(x_sq == 0.0) or np.any(y_sq == 0.0):
+    # the corrections may leave a near-constant row just below 0
+    if np.any(x_sq <= 0.0) or np.any(y_sq <= 0.0):
         raise ZeroVarianceError("correlation undefined for a zero-variance series")
     return np.clip(cross / np.outer(np.sqrt(x_sq), np.sqrt(y_sq)), -1.0, 1.0)
 

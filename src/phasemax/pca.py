@@ -16,7 +16,7 @@ only adds the residual-energy trace.  Two deliberate conventions:
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .separation import SeparationResult, _result
 from .signals import MultichannelSignal
@@ -37,10 +37,10 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
     DegenerateInputError
         If the second moment matrix has no positive eigenvalue at all.
     """
-    x = signal.data.ravel(order="K")  # a view: dot products need no N x M squares
-    energies = [float(np.dot(x, x))]
-    vectors, rows = _principal_components(signal)
-    for row in rows:
-        energies.append(max(energies[-1] - float(np.dot(row, row)), 0.0))
+    vectors, rows, squares = _principal_components(signal)
+    # the data's energy is the trace of the Gram matrix cached with the signal
+    energies = [math.fsum(signal._gram.diagonal().tolist())]
+    for share in squares.tolist():
+        energies.append(max(energies[-1] - share, 0.0))
     found = [(direction, None, None) for direction in vectors.T.copy()]
     return _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))

@@ -43,11 +43,13 @@ point lies between their directions and the method degrades by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, ZeroSignalError
+from .numerics import _row_squares
 from .signals import MultichannelSignal
 from .whitening import WhiteningTransform, apply_whitening
 
@@ -68,6 +70,11 @@ _CUT_START = 0.5
 _CUT_STEP = 0.5
 _CANDIDATE_SHARE = 1 / 8
 _CANDIDATE_MIN_VALUES = 1 << 15
+
+# Values whose largest magnitude is below this are scaled up by a power
+# of two before they are squared: their squares would fall below 2**-1000,
+# near the subnormal range, where they lose digits or vanish.
+_TINY = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -125,15 +132,33 @@ def _result(found, rows, energies, method, whitening) -> SeparationResult:
 def radius_series(signal: MultichannelSignal) -> np.ndarray:
     """Distance of every trajectory point from the origin.
 
+    Data whose largest |value| is below ``_TINY`` are scaled up by a
+    power of two before squaring and the radii scaled back, so no square
+    loses digits in the subnormal range and no nonzero radius is 0.
+
     Raises
     ------
     NonFiniteError
         If a squared radius overflows float64.
     """
-    r = np.sqrt(_squared_radii(signal.data))
+    z = signal.data
+    scale = _scale_exponent(z)
+    r = np.sqrt(_squared_radii(np.ldexp(z, scale) if scale else z))
+    if scale:
+        r = np.ldexp(r, -scale)
     if not np.isfinite(r).all():
         raise NonFiniteError("squared radii overflow float64; rescale the input")
     return r
+
+
+def _scale_exponent(z: np.ndarray) -> int:
+    """The power ``k`` of two that makes ``z * 2**k`` safe to square.
+
+    It is 0 unless the largest |value| is positive and below ``_TINY``;
+    then ``k > 0`` brings that value to [0.5, 1).  The scaling is exact.
+    """
+    peak = max(float(z.max()), -float(z.min()))
+    return -math.frexp(peak)[1] if 0.0 < peak < _TINY else 0
 
 
 def _squared_radii(z: np.ndarray) -> np.ndarray:
@@ -166,7 +191,9 @@ def separate_maximum(
     one matrix product per block of columns, so they equal a product
     per direction to rounding (a few ulps of the largest value); each
     radius and direction comes from the winning sample's residual,
-    rebuilt exactly.  The signal's data is never written to.
+    rebuilt exactly, and scaled up by a power of two before squaring
+    when its largest |value| is below ``_TINY``.  The signal's data is
+    never written to.
 
     Raises
     ------
@@ -194,9 +221,10 @@ def separate_maximum(
         raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
+    directions = np.empty((len(z), len(z)))  # row k is d_k, once found
     series = np.empty(0)  # one series at a time: d_k . zc, then its square
     cut = _CUT_START * float(r2.max()) if z.size >= _CANDIDATE_MIN_VALUES else 0.0
-    index, zc, r2c = _candidates(z, r2, cut, found)
+    index, zc, r2c = _candidates(z, r2, cut, found, directions)
     while len(found) < len(z) and energies[-1] > DEFAULT_ENERGY_FLOOR * initial:
         best = int(np.argmax(r2c))  # first occurrence on ties; zc is in sample order
         # Every sample outside zc started below the cut, and deflation only
@@ -204,19 +232,33 @@ def separate_maximum(
         while index is not None and r2c[best] < cut:
             cut *= _CUT_STEP
             zc = r2c = None  # the old block goes before the new one is gathered
-            index, zc, r2c = _candidates(z, r2, cut, found)
+            index, zc, r2c = _candidates(z, r2, cut, found, directions)
             best = int(np.argmax(r2c))
         idx = best if index is None else int(index[best])
         # The winner's residual, rebuilt exactly from z rather than from
-        # r2c, which has lost digits to cancellation.
+        # r2c, which has lost digits to cancellation: classical
+        # Gram-Schmidt against the directions so far.  A pass that removes
+        # more than it leaves (|coefficients|**2 above the residual's
+        # squared norm) is repeated, and twice is enough to leave the
+        # residual orthogonal to them to rounding.
         column = z[:, idx].copy()
-        for earlier, _, _ in found:
-            column -= (earlier @ column) * earlier
-        radius = float(np.sqrt((column**2).sum()))
-        # a nonzero root of a sum of squares is at least sqrt(5e-324) ~ 2.2e-162
-        if radius == 0.0:
+        if found:
+            basis = directions[: len(found)]
+            coeffs = np.dot(basis, column)
+            column -= np.dot(coeffs, basis)
+            if np.dot(coeffs, coeffs) > np.dot(column, column):
+                column -= np.dot(np.dot(basis, column), basis)
+        norm2 = float((column**2).sum())
+        scale = 0
+        if norm2 < len(column) * _TINY**2:  # maybe tiny values: square them scaled up
+            scale = _scale_exponent(column)
+            column = np.ldexp(column, scale)
+            norm2 = float((column**2).sum())
+        if norm2 == 0.0:  # scaled, any nonzero residual has a nonzero norm
             raise ZeroSignalError("residual is identically zero; no direction exists")
-        direction = column / radius
+        norm = math.sqrt(norm2)
+        direction = np.divide(column, norm, out=directions[len(found)])
+        radius = math.ldexp(norm, -scale)
         if series.size < zc.shape[1]:  # samples were admitted
             series = np.empty(zc.shape[1])
         s = np.matmul(direction, zc, out=series[: zc.shape[1]])
@@ -228,25 +270,31 @@ def separate_maximum(
             energies.append(max(energies[-1] - float(gram.dot(direction).dot(direction)), 0.0))
     # Row k of z becomes d_k . z.  Each block is read whole before it is
     # written, so one K x block product is the only other array.
-    directions = np.array([d for d, _, _ in found])
+    # Whitened, step k removed exactly |s_k|**2: its squares are summed
+    # from the K rows of each block just written.
+    k = len(found)
+    squares = np.zeros(k)
     for start in range(0, z.shape[1], _SERIES_BLOCK):
         block = z[:, start : start + _SERIES_BLOCK]
-        block[: len(found)] = directions @ block
-    if gram is None:  # whitened: step k removed exactly |s_k|**2
-        for row in z[: len(found)]:
-            energies.append(max(energies[-1] - float(np.dot(row, row)), 0.0))
+        block[:k] = directions[:k] @ block
+        if gram is None:
+            squares += _row_squares(block[:k])
+    if gram is None:
+        for share in squares.tolist():
+            energies.append(max(energies[-1] - share, 0.0))
     return _result(found, z, energies, "maximum", transform)
 
 
-def _candidates(z, r2, cut, found):
+def _candidates(z, r2, cut, found, directions):
     """The samples that may hold the next maximum: ``(index, columns, squared radii)``.
 
     They are the samples whose squared radius before any deflation,
     ``r2``, is at or above ``cut``, gathered from ``z`` in sample order,
     with their squared radii brought up to date from the directions
-    ``found`` so far.  At a zero cut, or once they would be more than
-    ``_CANDIDATE_SHARE`` of the samples, they are every sample with no
-    copy: ``(None, z, r2)``, ``r2`` updated in place.
+    ``found`` so far, the first rows of ``directions``.  At a zero cut,
+    or once they would be more than ``_CANDIDATE_SHARE`` of the samples,
+    they are every sample with no copy: ``(None, z, r2)``, ``r2``
+    updated in place.
     """
     index = np.flatnonzero(r2 >= cut) if cut > 0.0 else None
     if index is not None and len(index) <= _CANDIDATE_SHARE * z.shape[1]:
@@ -254,10 +302,10 @@ def _candidates(z, r2, cut, found):
     else:
         index, zc = None, z
     if found:
-        directions = np.array([d for d, _, _ in found])
+        basis = directions[: len(found)]
         for start in range(0, zc.shape[1], _SERIES_BLOCK):
             r2[start : start + _SERIES_BLOCK] -= _squared_radii(
-                directions @ zc[:, start : start + _SERIES_BLOCK]
+                basis @ zc[:, start : start + _SERIES_BLOCK]
             )
         np.maximum(r2, 0.0, out=r2)
         winners = [idx for _, idx, _ in found]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidSpecError
-from .numerics import _orthonormal_rows, symmetric_eig
+from .numerics import _orthonormal_rows, _row_squares, symmetric_eig
 from .signals import MultichannelSignal
 
 METHODS = ("none", "gram_schmidt", "pca")
@@ -38,6 +38,11 @@ METHODS = ("none", "gram_schmidt", "pca")
 # Eigenvalues at or below this fraction of the largest count as rank
 # deficiency: PCA whitening refuses them, the PCA baseline drops them.
 _RANK_TOL = 1e-12
+
+# Columns per matrix product when the data are projected onto the
+# principal directions: a block of the output stays in cache while its
+# squares are summed.
+_PROJECTION_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,17 +105,29 @@ def second_moment(signal: MultichannelSignal) -> np.ndarray:
 
 
 def _principal_components(signal: MultichannelSignal):
-    """``(vectors, vectors.T @ data)`` for the second-moment eigenvectors above the rank cut.
+    """``(vectors, vectors.T @ data, sums of squares of its rows)`` above the rank cut.
 
-    Columns are in descending eigenvalue order.  Raises
-    ``DegenerateInputError`` if no eigenvalue is positive.
+    The vectors are the second-moment eigenvectors, as columns in
+    descending eigenvalue order.  The projection is written in column
+    blocks, and each row's sum of squares is taken from each block while
+    it is in cache.  Raises ``DegenerateInputError`` if no eigenvalue is
+    positive.
     """
     eig = symmetric_eig(second_moment(signal))
     if eig.eigenvalues[0] <= 0.0:
         raise DegenerateInputError("second moment matrix has no positive eigenvalue")
     rank = int(np.count_nonzero(eig.eigenvalues > _RANK_TOL * eig.eigenvalues[0]))
     vectors = eig.eigenvectors[:, :rank]
-    return vectors, vectors.T @ signal.data
+    rows = np.empty((rank, signal.n_samples))
+    squares = np.zeros(rank)
+    for start in range(0, signal.n_samples, _PROJECTION_BLOCK):
+        block = np.matmul(
+            vectors.T,
+            signal.data[:, start : start + _PROJECTION_BLOCK],
+            out=rows[:, start : start + _PROJECTION_BLOCK],
+        )
+        squares += _row_squares(block)
+    return vectors, rows, squares
 
 
 def whiten_pca(signal: MultichannelSignal):
@@ -125,7 +142,7 @@ def whiten_pca(signal: MultichannelSignal):
     DegenerateInputError
         If the second moment matrix is numerically rank deficient.
     """
-    vectors, components = _principal_components(signal)
+    vectors, components, _ = _principal_components(signal)
     if vectors.shape[1] < signal.n_channels:
         raise DegenerateInputError("second moment matrix is rank deficient")
     # (components**2).sum(axis=1) to the bit, without the N x M squares

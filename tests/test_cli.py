@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,8 +346,8 @@ class TestPhase:
         ]
 
     def test_small_values_flag_the_sample_separate_finds(self, tmp_path, capsys):
-        # the squares of these values are subnormal: the radii keep few digits,
-        # and a unit vector built from them is off unit norm by far more than 1e-12
+        # the squares of these values are subnormal: unscaled, the radii keep few
+        # digits, and a unit vector built from them is off unit norm by far more than 1e-12
         table = tmp_path / "small.txt"
         table.write_text("3e-160 1e-161\n1e-161 2e-160\n")
         doc, out = tmp_path / "d.txt", tmp_path / "phase.txt"
@@ -358,6 +359,18 @@ class TestPhase:
         assert [row.split()[-1] for row in out.read_text().splitlines()[1:]] == [
             "1" if n == n_max else "0" for n in range(2)
         ]
+
+    @pytest.mark.parametrize("scale", ["160", "170"])
+    def test_tiny_values_give_radii_within_an_ulp_of_hypot(self, tmp_path, capsys, scale):
+        # at 1e-170 every square underflows to 0 unless the values are scaled up first
+        table, out = tmp_path / "small.txt", tmp_path / "phase.txt"
+        table.write_text(f"3e-{scale} 1e-{int(scale) + 1}\n1e-{int(scale) + 1} 2e-{scale}\n")
+        assert run("phase", table, out) == 0
+        assert capsys.readouterr().err == ""
+        rows = [[float(t) for t in line.split()] for line in out.read_text().splitlines()[1:]]
+        for _, z1, z2, r, _ in rows:
+            assert abs(r - math.hypot(z1, z2)) <= math.ulp(math.hypot(z1, z2))
+        assert [row[-1] for row in rows] == [1.0, 0.0]
 
     def test_round_trips_radius_exactly(self, tmp_path, mixture_file):
         out = tmp_path / "phase.txt"

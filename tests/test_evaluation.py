@@ -96,6 +96,30 @@ class TestPearson:
         assert correlation(a * x + b, y) == pytest.approx(correlation(x, y), abs=1e-12)
 
 
+# The blocked correlation pass against the per-pair oracle: fixed before
+# the first run at 1e-14, the largest change to a correlation this pass may
+# make.  Each block is centred on a shift known to the bit, so an offset far
+# above the spread costs no digits (block means rounded to float64 and
+# merged lost up to 8e-13 on rows offset like these).
+CORRELATION_TOL = 1e-14
+
+
+class TestCorrelationPass:
+    @pytest.mark.parametrize(
+        "m", [1000, 3 * evaluation._CORRELATION_BLOCK + 17], ids=["one-block", "partial-last-block"]
+    )
+    @pytest.mark.parametrize("offset", [0.0, 1e6], ids=["centred", "offset-1e6-spreads"])
+    def test_matches_pearson(self, m, offset):
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(3, m)) * [[1.0], [0.01], [100.0]]
+        y = rng.normal(size=(3, 3)) @ (x / x.std(axis=1, keepdims=True)) + rng.normal(size=(3, m))
+        x += offset * x.std(axis=1, keepdims=True) * [[1.0], [-2.0], [3.0]]
+        y += offset * y.std(axis=1, keepdims=True)
+        oracle = [[pearson(a, b) for b in y] for a in x]
+        matrix = evaluation._correlation_matrix(x, y)
+        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=CORRELATION_TOL)
+
+
 class TestAssociate:
     def test_identity_pairing(self):
         rng = np.random.default_rng(77)
@@ -191,6 +215,16 @@ class TestAssociate:
     def test_zero_variance_raises(self):
         truth = MultichannelSignal(np.random.default_rng(85).normal(size=(2, 30)))
         estimates = MultichannelSignal(np.vstack([truth.data[0], np.full(30, 2.5)]))
+        with pytest.raises(ZeroVarianceError):
+            associate(truth, estimates)
+
+    @pytest.mark.parametrize("value", [2.5, 0.1, 1e6 + 0.1])
+    def test_zero_variance_raises_across_blocks(self, value):
+        # the first block's mean need not be the value to the bit; the
+        # centred sums of a constant row still come to 0 in every block
+        m = 3 * evaluation._CORRELATION_BLOCK + 17
+        truth = MultichannelSignal(np.random.default_rng(88).normal(size=(2, m)))
+        estimates = MultichannelSignal(np.vstack([truth.data[0], np.full(m, value)]))
         with pytest.raises(ZeroVarianceError):
             associate(truth, estimates)
 

@@ -106,6 +106,20 @@ class TestPcaSeparate:
             assert np.all(energies >= 0.0)
             assert np.all(np.diff(energies) <= 0.0)
 
+    @pytest.mark.parametrize("m", [90, 3 * 4096 + 17])
+    def test_residual_energies_match_explicit_deflation(self, m):
+        # within 8 ulps of the first entry, the bound of the maximum method's trace
+        rng = np.random.default_rng(66)
+        sig = MultichannelSignal(rng.normal(size=(4, 4)) @ rng.normal(size=(4, m)) + 0.5)
+        result = pca_separate(sig)
+        x, expected = sig.data, [np.sum(sig.data**2)]
+        for e in result.estimates:
+            x = x - np.outer(e.direction, e.direction @ x)
+            expected.append(np.sum(x**2))
+        np.testing.assert_allclose(
+            result.residual_energy, expected, rtol=0, atol=8 * np.spacing(expected[0])
+        )
+
     def test_directions_orthonormal(self):
         rng = np.random.default_rng(65)
         sig = MultichannelSignal(rng.normal(size=(4, 90)))

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasemax.errors import InvalidSpecError, NonFiniteError, ZeroSignalError
 from phasemax.separation import radius_series, separate_maximum
@@ -58,12 +61,40 @@ class TestRadiusSeries:
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
             radius_series(big)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[3e-160, 1e-161], [1e-161, 2e-160]],
+            [[3e-170, 1e-171], [1e-171, 2e-170]],  # every square underflows to 0
+            [[5e-324, 1e-310, 0.0], [2.5e-320, 3e-315, 7e-322]],  # subnormal values
+            np.random.default_rng(42).normal(size=(3, 40)) * 1e-200,
+        ],
+        ids=["subnormal-squares", "zero-squares", "subnormal-values", "random-1e-200"],
+    )
+    def test_tiny_radii_match_hypot(self, data):
+        # squared scaled up by a power of two: each radius within 1 ulp of hypot
+        data = np.array(data)
+        r = radius_series(MultichannelSignal(data))
+        for radius, column in zip(r, data.T):
+            exact = math.hypot(*column)
+            assert abs(radius - exact) <= math.ulp(exact)
+
 
 def first_estimate(data, whitening="none"):
     return separate_maximum(MultichannelSignal(data), whitening=whitening).estimates[0]
 
 
 class TestFirstMaximum:
+    def test_tiny_values_keep_their_digits(self):
+        # the winner's squares are subnormal unless it is scaled up first
+        data = np.array([[3e-160, 1e-161], [1e-161, 2e-160]])
+        found = first_estimate(data)
+        exact = math.hypot(3e-160, 1e-161)
+        assert found.argmax_index == 0
+        assert abs(found.radius - exact) <= math.ulp(exact)
+        for value, unit in zip(found.direction, (3e-160 / exact, 1e-161 / exact)):
+            assert abs(value - unit) <= math.ulp(unit)
+
     def test_single_nonzero_sample(self):
         data = np.zeros((2, 10))
         data[1, 7] = 5.0
@@ -292,6 +323,43 @@ class TestFrameInvariance:
                 rtol=0,
                 atol=FRAME_TOL * np.linalg.cond(mixing) * scale,
             )
+
+    @pytest.mark.parametrize("whitening", ["gram_schmidt", "pca"])
+    def test_mixing_changes_no_series_on_eight_channels(self, whitening):
+        base = sparse_mixture(66, 8, 20_000, 50)
+        unmixed = separate_maximum(base, whitening=whitening)
+        scale = np.abs(unmixed.series_matrix).max()
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            mixing = rng.normal(size=(8, 8))
+            result = separate_maximum(mix(base, mixing), whitening=whitening)
+            assert [e.argmax_index for e in result.estimates] == [
+                e.argmax_index for e in unmixed.estimates
+            ]
+            np.testing.assert_allclose(
+                result.series_matrix,
+                unmixed.series_matrix,
+                rtol=0,
+                atol=FRAME_TOL * np.linalg.cond(mixing) * scale,
+            )
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt", "pca"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_samples_permutes_series(self, whitening, seed):
+        # only the order of the sums over samples changes, so the bound is
+        # the mixing bound with the condition number of the data
+        signal = noisy_fixture(disjoint_sources_spec, OBLIQUE_MIXING, 0.01)()
+        base = separate_maximum(signal, whitening=whitening)
+        perm = np.random.default_rng(seed).permutation(signal.n_samples)
+        result = separate_maximum(MultichannelSignal(signal.data[:, perm]), whitening=whitening)
+        assert [perm[e.argmax_index] for e in result.estimates] == [
+            e.argmax_index for e in base.estimates
+        ]
+        bound = FRAME_TOL * np.linalg.cond(signal.data) * np.abs(base.series_matrix).max()
+        np.testing.assert_allclose(
+            result.series_matrix, base.series_matrix[:, perm], rtol=0, atol=bound
+        )
 
 
 def c3_random_trials():
