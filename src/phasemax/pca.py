@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .separation import SeparationResult, _result
+from .separation import SeparationResult, _result, _scaled_down, _scaled_up
 from .signals import MultichannelSignal
 from .whitening import WhiteningTransform, _principal_components
 
@@ -30,17 +30,21 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
     as given, and estimates are ordered by descending eigenvalue.
     Eigenpairs under the rank cut that PCA whitening also applies are
     dropped, so rank-deficient input yields as many estimates as the
-    numerical rank.
+    numerical rank.  Data whose every square may underflow are separated
+    scaled up by a power of two, and the result is scaled back, as in
+    ``separate_maximum``.
 
     Raises
     ------
     DegenerateInputError
         If the second moment matrix has no positive eigenvalue at all.
     """
+    signal, exponent = _scaled_up(signal)
     vectors, rows, squares = _principal_components(signal)
     # the data's energy is the trace of the Gram matrix cached with the signal
     energies = [math.fsum(signal._gram.diagonal().tolist())]
     for share in squares.tolist():
         energies.append(max(energies[-1] - share, 0.0))
     found = [(direction, None, None) for direction in vectors.T.copy()]
-    return _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))
+    result = _result(found, rows, energies, "pca", WhiteningTransform.identity(signal.n_channels))
+    return _scaled_down(result, exponent)

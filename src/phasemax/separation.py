@@ -44,7 +44,7 @@ point lies between their directions and the method degrades by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,6 +161,39 @@ def _scale_exponent(z: np.ndarray) -> int:
     return -math.frexp(peak)[1] if 0.0 < peak < _TINY else 0
 
 
+def _scaled_up(signal: MultichannelSignal):
+    """``(signal * 2**k, k)``, with ``k > 0`` only where every square may underflow.
+
+    That is where the Gram matrix's trace is below ``_TINY**2``: a signal
+    whose largest |value| is at least ``_TINY`` has a larger one, so it is
+    returned as it is, with ``k = 0``.  Below, a nonzero signal is scaled
+    exactly, by the power of ``_scale_exponent``, and a zero one is not.
+    """
+    k = _scale_exponent(signal.data) if signal._gram.trace() < _TINY**2 else 0
+    return (MultichannelSignal._wrap(np.ldexp(signal.data, k)) if k else signal), k
+
+
+def _scaled_down(result: SeparationResult, k: int) -> SeparationResult:
+    """The result for data ``x`` from the ``result`` for ``x * 2**k``.
+
+    Whitened rows do not depend on the scale of the data, so a whitened
+    result keeps its series, radii and energies and its ``forward`` takes
+    the factor ``2**k``.  Otherwise the series and radii are scaled by
+    ``2**-k`` and the residual energies by ``2**-2k``.
+    """
+    if not k:
+        return result
+    if result.whitening.method != "none":
+        forward = np.ldexp(result.whitening.forward, k)
+        return replace(result, whitening=replace(result.whitening, forward=forward))
+    found = [
+        (e.direction, e.argmax_index, None if e.radius is None else math.ldexp(e.radius, -k))
+        for e in result.estimates
+    ]
+    rows, energies = np.ldexp(result.series_matrix, -k), np.ldexp(result.residual_energy, -2 * k)
+    return _result(found, rows, energies, result.method, result.whitening)
+
+
 def _squared_radii(z: np.ndarray) -> np.ndarray:
     """``(z**2).sum(axis=0)`` without the N x M squares (bit for bit when M > 1)."""
     return np.einsum("ij,ij->j", z, z)
@@ -192,19 +225,22 @@ def separate_maximum(
     per direction to rounding (a few ulps of the largest value); each
     radius and direction comes from the winning sample's residual,
     rebuilt exactly, and scaled up by a power of two before squaring
-    when its largest |value| is below ``_TINY``.  The signal's data is
-    never written to.
+    when its largest |value| is below ``_TINY``.  Data whose every square
+    may underflow are separated scaled up by a power of two, and the
+    result is scaled back (``_scaled_up``, ``_scaled_down``).  The
+    signal's data is never written to.
 
     Raises
     ------
     ZeroSignalError
-        If the input is identically zero.
+        If every value of the input is zero.
     NonFiniteError
         If the energy of the (whitened) data overflows to infinity.
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
-    if signal._gram.trace() == 0.0:  # every square underflows, not only exact zeros
+    signal, exponent = _scaled_up(signal)
+    if signal._gram.trace() == 0.0:  # scaled up, only an all-zero signal
         raise ZeroSignalError("cannot separate an identically zero signal")
 
     work, transform = apply_whitening(signal, whitening, order)
@@ -282,7 +318,7 @@ def separate_maximum(
     if gram is None:
         for share in squares.tolist():
             energies.append(max(energies[-1] - share, 0.0))
-    return _result(found, z, energies, "maximum", transform)
+    return _scaled_down(_result(found, z, energies, "maximum", transform), exponent)
 
 
 def _candidates(z, r2, cut, found, directions):

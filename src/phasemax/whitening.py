@@ -15,7 +15,10 @@ Two backends are provided:
   channel is the first input channel rescaled to unit norm.  The order
   permutes the N x N Gram matrix, so no order copies the N x M rows.
 * ``pca`` - project onto the eigenvectors of the uncentered second
-  moment matrix and rescale each component series to unit norm.
+  moment matrix, one matrix product, and rescale each component series
+  to unit norm, from its sum of squares in one row-norm product.  The
+  PCA baseline (``pca``) takes the same eigenvectors, projection and
+  sums, so its series normalised are these channels bit for bit.
 
 The inner product uses raw sums (no 1/M factor); only orthogonality and
 relative scale matter downstream.  No centering happens here: centering
@@ -38,11 +41,6 @@ METHODS = ("none", "gram_schmidt", "pca")
 # Eigenvalues at or below this fraction of the largest count as rank
 # deficiency: PCA whitening refuses them, the PCA baseline drops them.
 _RANK_TOL = 1e-12
-
-# Columns per matrix product when the data are projected onto the
-# principal directions: a block of the output stays in cache while its
-# squares are summed.
-_PROJECTION_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -108,26 +106,18 @@ def _principal_components(signal: MultichannelSignal):
     """``(vectors, vectors.T @ data, sums of squares of its rows)`` above the rank cut.
 
     The vectors are the second-moment eigenvectors, as columns in
-    descending eigenvalue order.  The projection is written in column
-    blocks, and each row's sum of squares is taken from each block while
-    it is in cache.  Raises ``DegenerateInputError`` if no eigenvalue is
-    positive.
+    descending eigenvalue order.  The projection is one matrix product
+    and the sums one row-norm product (``numerics._row_squares``), so PCA
+    whitening and the PCA baseline of one signal get the same bits.
+    Raises ``DegenerateInputError`` if no eigenvalue is positive.
     """
     eig = symmetric_eig(second_moment(signal))
     if eig.eigenvalues[0] <= 0.0:
         raise DegenerateInputError("second moment matrix has no positive eigenvalue")
     rank = int(np.count_nonzero(eig.eigenvalues > _RANK_TOL * eig.eigenvalues[0]))
     vectors = eig.eigenvectors[:, :rank]
-    rows = np.empty((rank, signal.n_samples))
-    squares = np.zeros(rank)
-    for start in range(0, signal.n_samples, _PROJECTION_BLOCK):
-        block = np.matmul(
-            vectors.T,
-            signal.data[:, start : start + _PROJECTION_BLOCK],
-            out=rows[:, start : start + _PROJECTION_BLOCK],
-        )
-        squares += _row_squares(block)
-    return vectors, rows, squares
+    rows = vectors.T @ signal.data
+    return vectors, rows, _row_squares(rows)
 
 
 def whiten_pca(signal: MultichannelSignal):
@@ -142,14 +132,12 @@ def whiten_pca(signal: MultichannelSignal):
     DegenerateInputError
         If the second moment matrix is numerically rank deficient.
     """
-    vectors, components, _ = _principal_components(signal)
+    vectors, components, squares = _principal_components(signal)
     if vectors.shape[1] < signal.n_channels:
         raise DegenerateInputError("second moment matrix is rank deficient")
-    # (components**2).sum(axis=1) to the bit, without the N x M squares
-    buf = np.empty(signal.n_samples)
-    norms = np.sqrt([np.square(row, out=buf).sum() for row in components])
-    if np.any(norms == 0.0):
+    if np.any(squares == 0.0):
         raise DegenerateInputError("a principal component series is identically zero")
+    norms = np.sqrt(squares)
     forward = vectors.T / norms[:, np.newaxis]
     components /= norms[:, np.newaxis]  # in place: one N x M array fewer at the peak
     return MultichannelSignal._wrap(components), WhiteningTransform("pca", forward, None)

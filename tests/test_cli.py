@@ -220,6 +220,47 @@ class TestSeparate:
     def test_usage_error_exits_2(self, tmp_path, sources_file):
         assert run("separate", sources_file, "--method", "bogus", tmp_path / "e.txt") == 2
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--whiten", "none"], ["--whiten", "gram-schmidt"], ["--whiten", "pca"], ["--method", "pca"]],
+        ids=["none", "gram-schmidt", "pca-whitening", "pca-baseline"],
+    )
+    def test_tiny_values_run_scaled_up_by_a_power_of_two(self, tmp_path, capsys, options):
+        # every square of these values underflows to 0: separate runs on the table
+        # times 2**k, then scales the series, radii and energies of an unwhitened
+        # result by 2**-k (energies 2**-2k) and a whitening's forward map by 2**k
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("3e-170 1e-171\n1e-171 2e-170\n")
+        k = -math.frexp(3e-170)[1]
+        scaled = tmp_path / "scaled.txt"
+        write_matrix_text(scaled, np.ldexp([[3e-170, 1e-171], [1e-171, 2e-170]], k))
+
+        def outputs(table):
+            doc, est = tmp_path / f"{table.stem}-d.txt", tmp_path / f"{table.stem}-e.txt"
+            assert run("separate", table, *options, "--out-directions", doc, est) == 0
+            fields = dict(line.split(": ") for line in doc.read_text().splitlines())
+            return np.loadtxt(est), fields
+
+        (series, fields), (scaled_series, scaled_fields) = outputs(tiny), outputs(scaled)
+        assert capsys.readouterr().err == ""
+        unwhitened = fields["whitening"] == "none"
+        for key, text in scaled_fields.items():
+            if key.endswith("_radius") and unwhitened:
+                expected = [math.ldexp(float(text), -k)]
+            elif key == "residual_energy" and unwhitened:
+                expected = np.ldexp([float(t) for t in text.split()], -2 * k)
+            elif key.startswith("whitening_forward_row") and not unwhitened:
+                expected = np.ldexp([float(t) for t in text.split()], k)
+            else:
+                assert fields[key] == text
+                continue
+            np.testing.assert_array_equal([float(t) for t in fields[key].split()], expected)
+        np.testing.assert_array_equal(series, np.ldexp(scaled_series, -k) if unwhitened else scaled_series)
+        if "estimate_1_argmax_index" in fields:  # the sample phase flags
+            assert run("phase", tiny, tmp_path / "phase.txt") == 0
+            flags = [line.split()[-1] for line in (tmp_path / "phase.txt").read_text().splitlines()[1:]]
+            assert flags.index("1") == int(fields["estimate_1_argmax_index"])
+
 
 def montecarlo_config(tmp_path, n_runs=3):
     cfg = tmp_path / "mc.json"

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phasemax.errors import InvalidSpecError, NonFiniteError, ZeroSignalError
+from phasemax.pca import pca_separate
 from phasemax.separation import radius_series, separate_maximum
 from phasemax.signals import (
     DOMINANT_MIXING,
@@ -94,6 +95,14 @@ class TestFirstMaximum:
         assert abs(found.radius - exact) <= math.ulp(exact)
         for value, unit in zip(found.direction, (3e-160 / exact, 1e-161 / exact)):
             assert abs(value - unit) <= math.ulp(unit)
+
+    def test_tiny_residual_keeps_its_digits(self):
+        # the data are too large to be scaled up as a whole, but the second
+        # winner's residual (0, 3e-155) has a subnormal square
+        result = separate_maximum(MultichannelSignal([[2.0**-499, 0.0], [0.0, 3e-155]]), "none")
+        second = result.estimates[1]
+        assert second.radius == 3e-155
+        np.testing.assert_array_equal(second.direction, [0.0, 1.0])
 
     def test_single_nonzero_sample(self):
         data = np.zeros((2, 10))
@@ -220,9 +229,10 @@ class TestSeparateMaximum:
     def test_zero_signal_raises(self):
         with pytest.raises(ZeroSignalError):
             separate_maximum(MultichannelSignal(np.zeros((2, 10))), whitening="none")
-        # nonzero values whose squares all underflow count as zero signal
-        with pytest.raises(ZeroSignalError):
-            separate_maximum(MultichannelSignal(np.full((2, 10), 1e-200)), whitening="none")
+        # nonzero values whose squares all underflow are separated, scaled up
+        result = separate_maximum(MultichannelSignal(np.full((2, 10), 1e-200)), whitening="none")
+        assert [e.argmax_index for e in result.estimates] == [0]
+        np.testing.assert_allclose(result.estimates[0].direction, [0.5**0.5] * 2, rtol=1e-15)
 
     @pytest.mark.parametrize("whitening", ["none", "pca"])
     def test_order_without_gram_schmidt_raises(self, oblique_mixture, whitening):
@@ -420,6 +430,81 @@ def admitted_tie():
 
 def noisy_fixture(spec, mixing, sd):
     return lambda: add_noise(mix(generate_sources(spec()), mixing), NoiseSpec(sd, 3))
+
+
+def scale_exponents(x):
+    """The powers j of two for which every nonzero value of ``x * 2**j`` is
+    normal and its energy, N * M times the largest square, stays below 2**1000."""
+    a = np.abs(x)
+    low, high = math.frexp(a[a > 0].min())[1], math.frexp(a.max())[1]
+    return -1021 - low, (1000 - math.ceil(math.log2(x.size))) // 2 - high
+
+
+SCALING_FIXTURES = {
+    "correlated": noisy_fixture(correlated_sources_spec, OBLIQUE_MIXING, 0.01),
+    "8x20000": lambda: sparse_mixture(66, 8, 20_000, 50),
+}
+
+
+@pytest.mark.parametrize("fixture", SCALING_FIXTURES)
+class TestPowerOfTwoScaling:
+    """C7 for the power-of-two factors, from data whose squares all underflow
+    (below 2**-500 the data are separated scaled up) to the top of the range."""
+
+    @pytest.mark.parametrize("whitening", ["none", "gram_schmidt"])
+    @settings(max_examples=20, deadline=None)
+    @given(j=st.integers(-1100, 600))
+    @example(j=-600)  # the data scaled up: every square underflows
+    def test_scales_exactly(self, fixture, whitening, j):
+        signal = SCALING_FIXTURES[fixture]()
+        low, high = scale_exponents(signal.data)
+        assume(low <= j <= high)
+        base = separate_maximum(signal, whitening=whitening)
+        result = separate_maximum(MultichannelSignal(np.ldexp(signal.data, j)), whitening=whitening)
+        # whitened rows do not depend on the scale; the whitening absorbs it
+        s = j if whitening == "none" else 0
+        for a, b in zip(result.estimates, base.estimates):
+            assert a.argmax_index == b.argmax_index
+            np.testing.assert_array_equal(a.direction, b.direction)
+            assert a.radius == math.ldexp(b.radius, s)
+        np.testing.assert_array_equal(result.series_matrix, np.ldexp(base.series_matrix, s))
+        np.testing.assert_array_equal(result.residual_energy, np.ldexp(base.residual_energy, 2 * s))
+        np.testing.assert_array_equal(result.whitening.forward, np.ldexp(base.whitening.forward, s - j))
+
+    @pytest.mark.parametrize("method", ["pca-whitening", "pca-baseline"])
+    @settings(max_examples=20, deadline=None)
+    @given(j=st.integers(-1100, 600))
+    @example(j=-600)
+    def test_scales_pca_to_rounding(self, fixture, method, j):
+        # LAPACK's eigh scales the matrix itself at the extremes, by factors that
+        # are not powers of two: the bound is the mixing bound with kappa(data)
+        signal = SCALING_FIXTURES[fixture]()
+        low, high = scale_exponents(signal.data)
+        assume(low <= j <= high)
+        bound = FRAME_TOL * np.linalg.cond(signal.data)
+        scaled = MultichannelSignal(np.ldexp(signal.data, j))
+        if method == "pca-whitening":
+            base, result = separate_maximum(signal, "pca"), separate_maximum(scaled, "pca")
+            s = 0
+        else:
+            base, result = pca_separate(signal), pca_separate(scaled)
+            s = j
+        assert [e.argmax_index for e in result.estimates] == [e.argmax_index for e in base.estimates]
+
+        def assert_close(actual, expected):
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=bound * np.abs(expected).max())
+
+        assert_close([e.direction for e in result.estimates], [e.direction for e in base.estimates])
+        assert_close(np.ldexp(result.series_matrix, -s), base.series_matrix)
+        assert_close(np.ldexp(result.whitening.forward, j - s), base.whitening.forward)
+        # energies of 2**2j times the data's can be subnormal: one more rounding each
+        expected = np.ldexp(base.residual_energy, 2 * s)
+        np.testing.assert_allclose(
+            result.residual_energy,
+            expected,
+            rtol=0,
+            atol=math.ldexp(bound * base.residual_energy[0], 2 * s) + math.ulp(0.0),
+        )
 
 
 # Largest distance of a residual energy from the explicitly deflated

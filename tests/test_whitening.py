@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasemax.errors import DegenerateInputError, InvalidSpecError
-from phasemax.numerics import _orthonormal_rows
+from phasemax.numerics import _orthonormal_rows, _row_squares
 from phasemax.pca import pca_separate
 from phasemax.signals import (
     OBLIQUE_MIXING,
@@ -210,10 +210,14 @@ class TestPcaWhitening:
     ids=["disjoint", "correlated", "coincident", "8x5000"],
 )
 def test_pca_whitening_normalizes_the_pca_baseline_series(signal):
-    # one eigenanalysis and one projection serve both: the bits agree
+    # one eigenanalysis, one projection and one row-norm product serve both:
+    # the bits agree
     rows = pca_separate(signal).series_matrix
-    expected = rows / np.sqrt((rows**2).sum(axis=1))[:, np.newaxis]
-    np.testing.assert_array_equal(whiten_pca(signal)[0].data, expected)
+    norms = np.sqrt(_row_squares(rows))
+    np.testing.assert_array_equal(whiten_pca(signal)[0].data, rows / norms[:, np.newaxis])
+    # and the row-norm product gives the pairwise norms to a few ulps
+    pairwise = np.sqrt((rows**2).sum(axis=1))
+    assert np.all(np.abs(norms - pairwise) <= 4 * np.spacing(pairwise))
 
 
 class TestWhiteningProperties:
