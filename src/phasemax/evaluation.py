@@ -24,7 +24,7 @@ from .errors import (
 )
 from .numerics import _row_squares
 from .pca import pca_separate
-from .separation import SeparationResult, separate_maximum
+from .separation import _TINY, SeparationResult, _scale_exponent, separate_maximum
 from .signals import (
     MultichannelSignal,
     NoiseSpec,
@@ -44,7 +44,7 @@ _CORRELATION_BLOCK = 4096
 def normalize_unit(series) -> np.ndarray:
     """Rescale a series to unit sample norm (sum of squares = 1)."""
     x = np.asarray(series, dtype=float)
-    n = np.sqrt(np.dot(x, x))
+    n = np.sqrt(_row_squares(x[np.newaxis])[0])
     if n == 0.0:
         raise ZeroSeriesError("cannot normalize an all-zero series")
     return x / n
@@ -79,9 +79,13 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     update of Chan, Golub & LeVeque (1983): the centred sums grow by the
     block's own plus ``n_a n_b / (n_a + n_b)`` times the product of the
     differences of the two means.  Every shift is known to the bit, so
-    rows offset far above their spread lose no digits.  Raises
-    ``NonFiniteError`` if the sums overflow and ``ZeroVarianceError`` if
-    a centred norm is not positive.
+    rows offset far above their spread lose no digits.  A row that peaks
+    below ``_TINY`` loses digits to squares near or below the subnormal
+    range; when a centred sum is small enough that some row may, the
+    pass runs again with those rows scaled up exactly by a power of two,
+    which changes no correlation.  Raises ``NonFiniteError`` if the
+    sums overflow and ``ZeroVarianceError`` if a centred norm is not
+    positive.
     """
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError(
@@ -117,10 +121,22 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         y_off = y_off + dy * (size / (start + size))
     if not (np.isfinite(cross).all() and np.isfinite(x_sq).all() and np.isfinite(y_sq).all()):
         raise NonFiniteError("correlation sums overflow float64; rescale the input")
+    # a centred sum is at most m times the row's largest square, so only
+    # below this bound (4x for rounding) may its row peak below _TINY
+    if min(x_sq.min(), y_sq.min()) < 4 * m * _TINY**2:
+        x_up, y_up = _tiny_rows_scaled_up(x), _tiny_rows_scaled_up(y)
+        if x_up is not x or y_up is not y:
+            return _correlation_matrix(x_up, y_up)
     # the corrections may leave a near-constant row just below 0
     if np.any(x_sq <= 0.0) or np.any(y_sq <= 0.0):
         raise ZeroVarianceError("correlation undefined for a zero-variance series")
     return np.clip(cross / np.outer(np.sqrt(x_sq), np.sqrt(y_sq)), -1.0, 1.0)
+
+
+def _tiny_rows_scaled_up(a: np.ndarray) -> np.ndarray:
+    """``a`` with each row that peaks below ``_TINY`` scaled up exactly, or ``a`` itself if none does."""
+    exponents = [_scale_exponent(row) for row in a]
+    return np.ldexp(a, np.array(exponents)[:, np.newaxis]) if any(exponents) else a
 
 
 def associate(truth: MultichannelSignal, estimates: MultichannelSignal) -> AssociationReport:

@@ -21,7 +21,6 @@ files; EDF is only read.
 from __future__ import annotations
 
 import io
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -70,9 +69,6 @@ class Recording:
 # form feed it would silently merge two rows into one).
 _LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _SCAN_BLOCK = 1 << 20
-# What makes a CSV line blank to the token loop: the ASCII characters
-# str.strip() removes, and the delimiter.
-_CSV_BLANKS = "".join(c for c in map(chr, range(128)) if c.isspace()) + ","
 _WRITE_BLOCK = 8192  # values per block: 1024 rows of 8 channels; _Formatter.words holds ~300 bytes a value
 _MAX_TEXT = 24  # longest _NUMBER_FORMAT text of a float64, e.g. -2.2250738585072014e-308
 
@@ -131,9 +127,9 @@ def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) 
     or \\x1c-\\x1e line break), that it rejects (a bad token, a ragged
     row, no data) or whose header is not as wide as its rows goes
     through a token-by-token reader instead, which gives the same
-    result or names the line and column of the fault.  A CSV file that
-    loadtxt rejects is first given to it once more without its lines of
-    only blanks and commas, which the token loop skips.
+    result or names the line and column of the fault.  So a CSV file
+    with a line of only blanks and commas, which loadtxt rejects and the
+    token loop skips, is read by the token loop.
 
     Parameters
     ----------
@@ -169,23 +165,11 @@ def _loadtxt(path, delimiter):
     if _needs_token_loop(path):
         return None
     labels, skiprows = _header(path, delimiter)
-    table = _try_loadtxt(path, delimiter, skiprows)
-    if table is None and delimiter is not None:
-        # given the path, loadtxt reads in chunks; given lines, one at a
-        # time, so blank lines are filtered out only after a rejection
-        table = _try_loadtxt(_non_blank_csv_lines(path, skiprows), delimiter, 0)
-    if table is None or (labels is not None and len(labels) != table.shape[1]):
-        return None
-    return np.ascontiguousarray(table.T), labels
-
-
-def _try_loadtxt(source, delimiter, skiprows):
-    """``np.loadtxt`` of ``source`` as a 2-D float table, or None if it rejects it."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns, not raises, on an empty table
-            return np.loadtxt(
-                source,
+            table = np.loadtxt(
+                path,
                 dtype=float,
                 comments=None,
                 delimiter=delimiter,
@@ -195,14 +179,9 @@ def _try_loadtxt(source, delimiter, skiprows):
             )
     except (ValueError, Warning):
         return None
-
-
-def _non_blank_csv_lines(path, skiprows):
-    """The lines after the first ``skiprows`` that hold more than blanks and commas."""
-    with open(path, "r", encoding="ascii") as fh:
-        for line in itertools.islice(fh, skiprows, None):
-            if line.strip(_CSV_BLANKS):
-                yield line
+    if labels is not None and len(labels) != table.shape[1]:
+        return None
+    return np.ascontiguousarray(table.T), labels
 
 
 def _read_tokens(path, delimiter, skip_columns) -> Recording:

@@ -42,13 +42,20 @@ _BLOCK_VALUES = 4096
 
 
 def _row_squares(a: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, as one dot product per row: no array of squares.
+    """Each row's sum of squares, one dot product per row and column block: no array of squares.
 
-    A stacked matmul runs the dot products in compiled code: on a block
-    of 32 x 4096 it took 26 us against 56 us for ``einsum("ij,ij->i",
-    a, a)`` (2-core x86-64, numpy 2.4, one BLAS thread).
+    The rows are summed in blocks of ``_BLOCK_VALUES`` columns, each one
+    stacked matmul: OpenBLAS splits a longer dot product across threads,
+    which changes its rounding with the thread count.  A stacked matmul
+    runs the dot products in compiled code: on a block of 32 x 4096 it
+    took 26 us against 56 us for ``einsum("ij,ij->i", a, a)`` (2-core
+    x86-64, numpy 2.4, one BLAS thread).
     """
-    return np.matmul(a[:, np.newaxis, :], a[:, :, np.newaxis])[:, 0, 0]
+    sums = np.zeros(len(a))
+    for lo in range(0, a.shape[1], _BLOCK_VALUES):
+        block = a[:, lo : lo + _BLOCK_VALUES]
+        sums += np.matmul(block[:, np.newaxis, :], block[:, :, np.newaxis])[:, 0, 0]
+    return sums
 
 
 def _as_finite_array(values, name, ndim):

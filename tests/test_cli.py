@@ -261,6 +261,29 @@ class TestSeparate:
             flags = [line.split()[-1] for line in (tmp_path / "phase.txt").read_text().splitlines()[1:]]
             assert flags.index("1") == int(fields["estimate_1_argmax_index"])
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--whiten", "none"], ["--whiten", "pca"], ["--method", "pca"]],
+        ids=["none", "pca-whitening", "pca-baseline"],
+    )
+    def test_tiny_values_compare_and_evaluate_as_scaled_up(self, tmp_path, capsys, options):
+        # the centred squares of these values underflow to 0; a correlation does
+        # not change under a power-of-two scale of a series, so --compare and
+        # evaluate write what they write for the table times 2**k
+        rows = [[3e-170, 1e-171], [1e-171, 2e-170]]
+        scaled = np.ldexp(rows, -math.frexp(3e-170)[1])
+
+        def documents(name, table):
+            path, est = tmp_path / f"{name}.txt", tmp_path / f"{name}-e.txt"
+            write_matrix_text(path, table)
+            compare, report = tmp_path / f"{name}-c.txt", tmp_path / f"{name}-r.txt"
+            assert run("separate", path, *options, "--compare", compare, est) == 0
+            assert run("evaluate", path, est, "--out", report) == 0
+            return compare.read_text(), report.read_text().splitlines()[2:]  # past the file names
+
+        assert documents("tiny", rows) == documents("scaled", scaled)
+        assert capsys.readouterr().err == ""
+
 
 def montecarlo_config(tmp_path, n_runs=3):
     cfg = tmp_path / "mc.json"
@@ -877,3 +900,49 @@ class TestStderrOfAFreshProcess:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("phasemax: error:")
+
+
+# One process runs every command in turn; the table it reads is an 8 x 50 000
+# sparse mixture, long enough that OpenBLAS would split a whole-row dot product
+# across threads.
+THREAD_SCRIPT = """
+import json
+import numpy as np
+from phasemax.cli import main
+from phasemax.ingest import write_matrix_text
+rng = np.random.default_rng(0)
+sources = np.zeros((8, 50_000))
+sources[rng.integers(8, size=400), rng.choice(50_000, 400, replace=False)] = rng.standard_normal(400)
+write_matrix_text("s.txt", sources)
+write_matrix_text("m.txt", rng.standard_normal((8, 8)) @ sources)
+with open("mc.json", "w") as fh:
+    json.dump({"preset": "disjoint", "noise_sd": [0.01], "n_runs": 3, "methods": [{"method": "pca"}]}, fh)
+for argv in [
+    ["gen", "--preset", "disjoint", "--n-samples", "50000", "--noise-sd", "0.01", "g.txt"],
+    ["phase", "g.txt", "phase.txt"],
+    ["separate", "m.txt", "--whiten", "pca", "--out-directions", "wpd.txt", "--compare", "wpc.txt", "wpe.txt"],
+    ["separate", "m.txt", "--method", "pca", "--out-directions", "ppd.txt", "ppe.txt"],
+    ["separate", "m.txt", "--whiten", "gram-schmidt", "--out-directions", "gsd.txt", "--compare", "gsc.txt", "gse.txt"],
+    ["separate", "m.txt", "--out-directions", "nd.txt", "ne.txt"],
+    ["evaluate", "s.txt", "wpe.txt", "--out", "wpr.txt"],
+    ["montecarlo", "--config", "mc.json", "mc.csv"],
+]:
+    assert main(argv) == 0, argv
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_SCRIPT], cwd=work, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+    assert len(outputs["1"]) == 17
+    assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []

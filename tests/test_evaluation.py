@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasemax import evaluation
@@ -118,6 +118,25 @@ class TestCorrelationPass:
         oracle = [[pearson(a, b) for b in y] for a in x]
         matrix = evaluation._correlation_matrix(x, y)
         np.testing.assert_allclose(matrix, oracle, rtol=0, atol=CORRELATION_TOL)
+
+    @pytest.mark.parametrize(
+        "m", [1000, 3 * evaluation._CORRELATION_BLOCK + 17], ids=["one-block", "partial-last-block"]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(exponents=st.lists(st.integers(-990, -520) | st.integers(-450, 300), min_size=6, max_size=6))
+    @example(exponents=[-600, 0, 0, 0, 0, 0])
+    def test_power_of_two_row_scaling_keeps_the_bits(self, m, exponents):
+        # A power-of-two scale of a row changes no correlation, and rounds
+        # nothing while the row's centred squares stay normal, as they do on
+        # these rows down to 2**-450.  Rows scaled below 2**-500, whose
+        # squares turn subnormal or vanish, the pass scales back up itself.
+        rng = np.random.default_rng(90)
+        x = rng.normal(size=(3, m))
+        y = rng.normal(size=(3, 3)) @ x + rng.normal(size=(3, m))
+        scaled = np.ldexp(np.vstack([x, y]), np.array(exponents)[:, np.newaxis])
+        assert np.abs(scaled).min() >= 2.0**-1022  # every value is still normal
+        matrix = evaluation._correlation_matrix(scaled[:3], scaled[3:])
+        np.testing.assert_array_equal(matrix, evaluation._correlation_matrix(x, y))
 
 
 class TestAssociate:

@@ -4,10 +4,10 @@ The np.loadtxt path must give exactly what the token loop gives: the
 same array (sign of zero included), the same labels, or the same
 exception with the same message, line and column.  The explicit
 examples pin every input on which the two parsers are known to differ
-by themselves, so each one has to be routed to the token loop, except
-CSV lines of only blanks and commas: when loadtxt rejects a CSV file
-the loadtxt path retries without those lines, and the last test holds
-it to that.
+by themselves, so each one has to be routed to the token loop.  CSV
+lines of only blanks and commas are among them: loadtxt rejects them
+and the token loop skips them, and the last test holds such files to
+the token loop.
 """
 
 import tempfile
@@ -144,9 +144,10 @@ def test_loadtxt_path_matches_token_loop(table, skip_columns):
     [b" \n1,2\n", b"1,2\n\t\n3,4\n", b"a,b\n , \n1,2\n", b"\x1f\r\n1,2\r\n,,\r\n"],
     ids=["space", "tab", "commas", "unit-separator"],
 )
-def test_csv_lines_of_blanks_stay_on_the_loadtxt_path(tmp_path, raw):
-    # the token loop skips such a line; loadtxt reads the file without it
+def test_csv_lines_of_blanks_go_to_the_token_loop(tmp_path, raw):
+    # loadtxt rejects such a line, so the token loop reads the file and skips it
     path = tmp_path / "table.csv"
     path.write_bytes(raw)
-    channels, _ = ingest._loadtxt(path, ",")
-    np.testing.assert_array_equal(channels, _read_tokens(path, ",", 0).signal.data)
+    assert ingest._loadtxt(path, ",") is None
+    expected = _read_tokens(path, ",", 0).signal.data
+    np.testing.assert_array_equal(read_matrix_text(path, ",").signal.data, expected)
