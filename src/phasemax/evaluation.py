@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     InvalidSpecError,
     NonFiniteError,
     ZeroSeriesError,
     ZeroVarianceError,
 )
-from .numerics import _row_squares
+from .numerics import _BLOCK_VALUES, _TINY, _row_squares, _scale_exponent
 from .pca import pca_separate
-from .separation import _TINY, SeparationResult, _scale_exponent, separate_maximum
+from .separation import SeparationResult, separate_maximum
 from .signals import (
     MultichannelSignal,
     NoiseSpec,
@@ -35,10 +36,6 @@ from .signals import (
     mix,
 )
 from .whitening import _check_settings
-
-# Samples per block of the correlation pass: big enough for matrix
-# products to dominate, small enough that the centred blocks stay small.
-_CORRELATION_BLOCK = 4096
 
 
 def normalize_unit(series) -> np.ndarray:
@@ -69,7 +66,7 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Entry ``[i, j]`` is ``(xc . yc) / (|xc| |yc|)``, clipped to [-1, 1],
     with ``xc = x[i] - mean(x[i])`` and ``yc = y[j] - mean(y[j])``.
 
-    One pass over blocks of ``_CORRELATION_BLOCK`` samples reads each
+    One pass over blocks of ``_BLOCK_VALUES`` samples reads each
     array once; no separate pass takes the means.  The first block is
     centred on its own mean, and a table of one block needs nothing more.
     Each later block is centred, in the first block's buffers, on the
@@ -92,7 +89,7 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"series lengths differ: {x.shape[1]} vs {y.shape[1]} samples"
         )
     m = x.shape[1]
-    width = min(m, _CORRELATION_BLOCK)
+    width = min(m, _BLOCK_VALUES)
     # The first block, centred on its own mean: all that a table of one block needs.
     x_ref, y_ref = x[:, :width].mean(axis=1), y[:, :width].mean(axis=1)
     xc, yc = x[:, :width] - x_ref[:, None], y[:, :width] - y_ref[:, None]
@@ -124,19 +121,13 @@ def _correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # a centred sum is at most m times the row's largest square, so only
     # below this bound (4x for rounding) may its row peak below _TINY
     if min(x_sq.min(), y_sq.min()) < 4 * m * _TINY**2:
-        x_up, y_up = _tiny_rows_scaled_up(x), _tiny_rows_scaled_up(y)
-        if x_up is not x or y_up is not y:
-            return _correlation_matrix(x_up, y_up)
+        kx, ky = _scale_exponent(x, rows=True), _scale_exponent(y, rows=True)
+        if kx.any() or ky.any():
+            return _correlation_matrix(np.ldexp(x, kx), np.ldexp(y, ky))
     # the corrections may leave a near-constant row just below 0
     if np.any(x_sq <= 0.0) or np.any(y_sq <= 0.0):
         raise ZeroVarianceError("correlation undefined for a zero-variance series")
     return np.clip(cross / np.outer(np.sqrt(x_sq), np.sqrt(y_sq)), -1.0, 1.0)
-
-
-def _tiny_rows_scaled_up(a: np.ndarray) -> np.ndarray:
-    """``a`` with each row that peaks below ``_TINY`` scaled up exactly, or ``a`` itself if none does."""
-    exponents = [_scale_exponent(row) for row in a]
-    return np.ldexp(a, np.array(exponents)[:, np.newaxis]) if any(exponents) else a
 
 
 def associate(truth: MultichannelSignal, estimates: MultichannelSignal) -> AssociationReport:
@@ -166,10 +157,15 @@ def associate(truth: MultichannelSignal, estimates: MultichannelSignal) -> Assoc
 
 
 def cross_method_correlations(a: SeparationResult, b: SeparationResult) -> AssociationReport:
-    """Associate the estimates of two separation results with each other."""
+    """Associate the estimates of two separation results with each other.
+
+    Two methods that find different numbers of sources in one signal
+    disagree on its rank: that is a ``DegenerateInputError``.
+    """
     if len(a.estimates) != len(b.estimates):
-        raise DimensionMismatchError(
-            f"results have {len(a.estimates)} and {len(b.estimates)} estimates"
+        raise DegenerateInputError(
+            f"the methods disagree on the rank: {a.method} found {len(a.estimates)} sources"
+            f" and {b.method} {len(b.estimates)}"
         )
     return associate(
         MultichannelSignal._wrap(a.series_matrix), MultichannelSignal._wrap(b.series_matrix)
@@ -241,6 +237,10 @@ class MonteCarloConfig:
         for label in labels:
             if labels.count(label) > 1:
                 raise InvalidSpecError(f"two methods share the label {label!r}, which names their reports")
+        names = [f"{sd:g}" for sd in self.noise_sds]
+        for name in names:
+            if names.count(name) > 1:
+                raise InvalidSpecError(f"two noise sds share the name {name!r}, which names their columns")
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,10 @@ def monte_carlo_rms(cfg: MonteCarloConfig) -> list:
             noisy = add_noise(clean, NoiseSpec(sd, cfg.base_seed + run))
             for total, spec in zip(sums, cfg.methods):
                 result = spec.run(noisy)
+                if len(result.estimates) != n:
+                    raise DegenerateInputError(
+                        f"{spec.label} at noise sd {sd:g} found {len(result.estimates)} estimates for {n} sources"
+                    )
                 est = np.vstack([normalize_unit(e.series) for e in result.estimates])
                 for i, j, rho in associate(sources, MultichannelSignal._wrap(est)).pairs:
                     aligned = est[j] if rho >= 0 else -est[j]

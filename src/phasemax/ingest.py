@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -87,18 +87,17 @@ def _needs_token_loop(path) -> bool:
     return False
 
 
-def _header(path, delimiter):
-    """Labels of a header row (None if the first row is numeric) and lines to skip."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = _tokenize(line, delimiter)
-            if not tokens or all(t == "" for t in tokens):
-                continue
-            try:
-                list(map(float, tokens))
-            except ValueError:
-                return tokens, lineno
-            return None, 0
+def _header(lines, delimiter):
+    """Labels of a header row among ``lines`` (None if the first row is numeric) and lines to skip."""
+    for lineno, line in enumerate(lines, start=1):
+        tokens = _tokenize(line, delimiter)
+        if not tokens or all(t == "" for t in tokens):
+            continue
+        try:
+            list(map(float, tokens))
+        except ValueError:
+            return tokens, lineno
+        return None, 0
     return None, 0
 
 
@@ -164,7 +163,8 @@ def _loadtxt(path, delimiter):
     """``(channels, labels)`` parsed by ``np.loadtxt``, or None to use the token loop."""
     if _needs_token_loop(path):
         return None
-    labels, skiprows = _header(path, delimiter)
+    with open(path, "r", encoding="ascii") as fh:
+        labels, skiprows = _header(fh, delimiter)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns, not raises, on an empty table
@@ -195,29 +195,19 @@ def _read_tokens(path, delimiter, skip_columns) -> Recording:
         lineno = raw.count(b"\n", 0, at) + 1
         raise ParseError(f"line {lineno}: byte {raw[at]:#04x} is not ASCII", line=lineno) from None
 
-    labels = None
-    width = None
-    columns: list = []
-    for lineno, line in enumerate(lines, start=1):
+    labels, skiprows = _header(lines, delimiter)
+    columns = None if labels is None else [[] for _ in labels]
+    for lineno, line in enumerate(lines[skiprows:], start=skiprows + 1):
         tokens = _tokenize(line, delimiter)
         if not tokens or all(t == "" for t in tokens):
             continue
-        if width is None:
-            width = len(tokens)
-            try:
-                first = [float(t) for t in tokens]
-            except ValueError:
-                labels = tokens
-                continue
-            columns = [[v] for v in first]
-            continue
-        if len(tokens) != width:
+        if columns is None:  # the first row, numeric, sets the width
+            columns = [[] for _ in tokens]
+        if len(tokens) != len(columns):
             raise RaggedRowsError(
-                f"line {lineno}: expected {width} columns, found {len(tokens)}",
+                f"line {lineno}: expected {len(columns)} columns, found {len(tokens)}",
                 line=lineno,
             )
-        if columns == []:
-            columns = [[] for _ in range(width)]
         for colno, token in enumerate(tokens, start=1):
             try:
                 columns[colno - 1].append(float(token))
@@ -228,7 +218,7 @@ def _read_tokens(path, delimiter, skip_columns) -> Recording:
                     column=colno,
                 ) from None
 
-    if width is None or not columns:
+    if columns is None or not columns[0]:
         raise ParseError("file contains no data rows")
     return _recording(columns, labels, skip_columns)
 
@@ -591,27 +581,15 @@ _RANGES = {
     "n_signals": (">= 1", lambda v: v >= 1),
 }
 
-
-@dataclass(frozen=True)
-class EdfHeader:
-    """Parsed EDF header, fixed part plus per-signal arrays."""
-
-    version: str
-    patient_id: str
-    recording_id: str
-    start_date: str
-    start_time: str
-    header_bytes: int
-    reserved: str
-    n_records: int
-    record_duration: float
-    n_signals: int
-    labels: tuple
-    physical_min: tuple
-    physical_max: tuple
-    digital_min: tuple
-    digital_max: tuple
-    samples_per_record: tuple
+# Every fixed field, then the labels and the numeric signal fields as tuples.
+EdfHeader = make_dataclass(
+    "EdfHeader",
+    [(name, _NUMBERS.get(name, str)) for name, _ in _FIXED_FIELDS]
+    + [("labels", tuple)]
+    + [(name, tuple) for name, _ in _SIGNAL_FIELDS if name in _NUMBERS],
+    frozen=True,
+    namespace={"__doc__": "Parsed EDF header, fixed part plus per-signal tuples.", "__module__": __name__},
+)
 
 
 def _split(raw: bytes, table, count: int) -> dict:

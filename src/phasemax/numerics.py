@@ -2,7 +2,7 @@
 
 Channel counts in this package are small (a handful of electrode leads).
 The symmetric eigensolver is LAPACK's, via ``np.linalg.eigh``, wrapped
-in a fixed ordering and sign convention.  Orthonormalization is
+in a fixed ordering, sign convention and power-of-two scale.  Orthonormalization is
 Gram-Schmidt computed as CholeskyQR2 (Fukaya et al., ScalA'14): two
 Cholesky factors of N x N Gram matrices, applied to the rows in column
 blocks, with the shifted CholeskyQR3 of Fukaya et al. (SIAM J. Sci.
@@ -36,9 +36,28 @@ _DEPENDENCE_TOL = 1e-12
 # succeed on rounding noise, with pivots near 1e-8.  The shifted variant runs.
 _SHIFT_TOL = 1e-6
 
-# Values per column block of the passes over the rows: a gathered block and
-# its product are all that the passes hold beside the input and the basis.
+# The width of every column-blocked pass in the package, in columns (in
+# values over all rows for the Gram-Schmidt passes): a block and its product
+# are all that a pass holds beside its input and output, and no dot product
+# in the package is longer.
 _BLOCK_VALUES = 4096
+
+# Values whose largest magnitude is below this are scaled up by a power
+# of two before they are squared: their squares would fall below 2**-1000,
+# near the subnormal range, where they lose digits or vanish.
+_TINY = 2.0**-500
+
+
+def _scale_exponent(z: np.ndarray, rows: bool = False):
+    """The power ``k`` of two that makes ``z * 2**k`` safe to square; with ``rows``, a column of one per row.
+
+    It is 0 unless the largest |value| is positive and below ``_TINY``;
+    then ``k > 0`` brings that value to [0.5, 1).  The scaling is exact.
+    """
+    axis = 1 if rows else None
+    peak = np.maximum(z.max(axis=axis, keepdims=rows), -z.min(axis=axis, keepdims=rows))
+    k = np.where((0.0 < peak) & (peak < _TINY), -np.frexp(peak)[1], 0)
+    return k if rows else int(k)
 
 
 def _row_squares(a: np.ndarray) -> np.ndarray:
@@ -184,7 +203,9 @@ def symmetric_eig(m) -> EigenDecomposition:
     -------
     EigenDecomposition
         Eigenvalues descending, orthonormal eigenvector columns, signs
-        fixed as documented on :class:`EigenDecomposition`.
+        fixed as documented on :class:`EigenDecomposition`.  ``m`` times
+        a power of two that keeps its entries normal has the same
+        eigenvectors, bit for bit, and its eigenvalues times that power.
 
     Raises
     ------
@@ -200,6 +221,12 @@ def symmetric_eig(m) -> EigenDecomposition:
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-9 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-9 relative")
 
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    # eigh of the matrix scaled to a largest |entry| in [0.5, 1), exactly:
+    # LAPACK scales a matrix outside [2**-485, 2**485] by a factor that is not
+    # a power of two, and rounds a few inside it differently at different
+    # scales, so only this way has the matrix times 2**j the same eigenvectors
+    k = -int(np.frexp(scale)[1])
+    eigenvalues, eigenvectors = np.linalg.eigh(np.ldexp(a, k))
+    eigenvalues = np.ldexp(eigenvalues, -k)
     order = np.argsort(-eigenvalues, kind="stable")
     return EigenDecomposition(eigenvalues[order], _fix_signs(eigenvectors[:, order]))

@@ -49,15 +49,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError, ZeroSignalError
-from .numerics import _row_squares
+from .numerics import _BLOCK_VALUES, _TINY, _row_squares, _scale_exponent
 from .signals import MultichannelSignal
 from .whitening import WhiteningTransform, apply_whitening
 
 # Stop deflating once this fraction of the initial energy remains.
 DEFAULT_ENERGY_FLOOR = 1e-12
-
-# Columns per matmul when the series are written over the whitened data.
-_SERIES_BLOCK = 4096
 
 # The candidate search of separate_maximum: the cut starts at this
 # fraction of the largest squared radius and is multiplied by the step
@@ -70,11 +67,6 @@ _CUT_START = 0.5
 _CUT_STEP = 0.5
 _CANDIDATE_SHARE = 1 / 8
 _CANDIDATE_MIN_VALUES = 1 << 15
-
-# Values whose largest magnitude is below this are scaled up by a power
-# of two before they are squared: their squares would fall below 2**-1000,
-# near the subnormal range, where they lose digits or vanish.
-_TINY = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -149,16 +141,6 @@ def radius_series(signal: MultichannelSignal) -> np.ndarray:
     if not np.isfinite(r).all():
         raise NonFiniteError("squared radii overflow float64; rescale the input")
     return r
-
-
-def _scale_exponent(z: np.ndarray) -> int:
-    """The power ``k`` of two that makes ``z * 2**k`` safe to square.
-
-    It is 0 unless the largest |value| is positive and below ``_TINY``;
-    then ``k > 0`` brings that value to [0.5, 1).  The scaling is exact.
-    """
-    peak = max(float(z.max()), -float(z.min()))
-    return -math.frexp(peak)[1] if 0.0 < peak < _TINY else 0
 
 
 def _scaled_up(signal: MultichannelSignal):
@@ -310,8 +292,8 @@ def separate_maximum(
     # from the K rows of each block just written.
     k = len(found)
     squares = np.zeros(k)
-    for start in range(0, z.shape[1], _SERIES_BLOCK):
-        block = z[:, start : start + _SERIES_BLOCK]
+    for start in range(0, z.shape[1], _BLOCK_VALUES):
+        block = z[:, start : start + _BLOCK_VALUES]
         block[:k] = directions[:k] @ block
         if gram is None:
             squares += _row_squares(block[:k])
@@ -339,9 +321,9 @@ def _candidates(z, r2, cut, found, directions):
         index, zc = None, z
     if found:
         basis = directions[: len(found)]
-        for start in range(0, zc.shape[1], _SERIES_BLOCK):
-            r2[start : start + _SERIES_BLOCK] -= _squared_radii(
-                basis @ zc[:, start : start + _SERIES_BLOCK]
+        for start in range(0, zc.shape[1], _BLOCK_VALUES):
+            r2[start : start + _BLOCK_VALUES] -= _squared_radii(
+                basis @ zc[:, start : start + _BLOCK_VALUES]
             )
         np.maximum(r2, 0.0, out=r2)
         winners = [idx for _, idx, _ in found]

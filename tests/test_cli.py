@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from phasemax import cli, errors
 from phasemax.cli import main, parse_channels, parse_mixing
@@ -23,6 +25,7 @@ from phasemax.signals import (
     mix,
 )
 from reference import write_edf
+from test_separation import scale_exponents
 
 
 def run(*args):
@@ -283,6 +286,65 @@ class TestSeparate:
 
         assert documents("tiny", rows) == documents("scaled", scaled)
         assert capsys.readouterr().err == ""
+
+
+def sparse_table(seed, n, m):
+    """``n`` well-conditioned mixtures of ``n`` sparse sources with disjoint supports, ``m`` samples."""
+    rng = np.random.default_rng(seed)
+    pulses = max(1, m // (8 * n))
+    sources = np.zeros((n, m))
+    at = rng.choice(m, (n, pulses), replace=False)
+    np.put_along_axis(sources, at, rng.uniform(0.5, 1.5, (n, pulses)) * rng.choice([-1.0, 1.0], (n, pulses)), 1)
+    rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return rotation * rng.uniform(0.5, 2.0, n) @ sources
+
+
+class TestPowerOfTwoScalingAtTheCommandLine:
+    """README "Determinism" for a table scaled by 2**j and read back from text:
+    separate without whitening scales the estimates and radii by exactly 2**j
+    and the energies by 2**2j and keeps the argmax indices and directions;
+    --compare and evaluate keep every correlation bit."""
+
+    @staticmethod
+    def outputs(work, name, table):
+        path = work / f"{name}.txt"
+        write_matrix_text(path, table)
+        doc, compare, est, report = (work / f"{name}-{part}.txt" for part in "dcer")
+        assert run("separate", path, "--whiten", "none", "--out-directions", doc, "--compare", compare, est) == 0
+        assert run("evaluate", path, est, "--out", report) == 0
+        fields = dict(line.split(": ") for line in doc.read_text().splitlines())
+        # past the echoed file names
+        return np.loadtxt(est, ndmin=2), fields, compare.read_text(), report.read_text().splitlines()[2:]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m=st.integers(16, 2000),
+        j=st.integers(-1100, 600),  # the range rule of TestPowerOfTwoScaling
+    )
+    @example(seed=0, n=3, m=2000, j=-600)  # every square underflows: separated and correlated scaled up
+    @example(seed=1, n=2, m=500, j=-1000)
+    @example(seed=2, n=4, m=1500, j=480)
+    def test_outputs_scale_exactly(self, tmp_path_factory, seed, n, m, j):
+        table = sparse_table(seed, n, m)
+        low, high = scale_exponents(table)
+        assume(low <= j <= high)
+        work = tmp_path_factory.mktemp("scaling")
+        series, fields, compare, report = self.outputs(work, "base", table)
+        scaled_series, scaled_fields, scaled_compare, scaled_report = self.outputs(work, "scaled", np.ldexp(table, j))
+        np.testing.assert_array_equal(scaled_series, np.ldexp(series, j))
+        assert scaled_fields.keys() == fields.keys()
+        for key, text in scaled_fields.items():
+            if key.endswith("_radius"):
+                assert float(text) == math.ldexp(float(fields[key]), j)
+            elif key == "residual_energy":
+                expected = np.ldexp([float(t) for t in fields[key].split()], 2 * j)
+                np.testing.assert_array_equal([float(t) for t in text.split()], expected)
+            else:  # argmax indices, directions, the identity forward map
+                assert text == fields[key]
+        assert scaled_compare == compare
+        assert scaled_report == report
 
 
 def montecarlo_config(tmp_path, n_runs=3):
@@ -660,6 +722,9 @@ BAD_CONFIGS = {
         "montecarlo", {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1, 2]}, {**MAXIMUM, "order": [2, 1]}]},
     ),
     "mc-same-method-twice": ("montecarlo", {**MC_CONFIG, "methods": [{"method": "pca"}] * 2}),
+    # two noise levels whose columns would carry the same name
+    "mc-noise_sd-names-collide": ("montecarlo", {**MC_CONFIG, "noise_sd": [0.001, 0.0010000001]}),
+    "mc-noise_sd-repeated": ("montecarlo", {**MC_CONFIG, "noise_sd": [0.01, 0.01]}),
     "mc-noise_sd-empty": ("montecarlo", {**MC_CONFIG, "noise_sd": []}),
     "mc-noise_sd-missing": ("montecarlo", {k: v for k, v in MC_CONFIG.items() if k != "noise_sd"}),
     "mc-methods-object": ("montecarlo", {**MC_CONFIG, "methods": {"method": "pca"}}),
@@ -724,6 +789,7 @@ class TestExitCodeContract:
                 {**MC_CONFIG, "methods": [{**MAXIMUM, "order": [1, 2]}, {**MAXIMUM, "order": [2, 1]}]},
                 "label 'maximum-gramschmidt'",
             ),
+            ({**MC_CONFIG, "noise_sd": [0.001, 0.0010000001]}, "name '0.001'"),
             (
                 {"fixture": {"n_samples": 1e300, "sources": [[PULSE]]}, "noise_sd": [0.0],
                  "n_runs": 1, "methods": [{"method": "pca"}]},
@@ -742,6 +808,39 @@ class TestExitCodeContract:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(MC_CONFIG_FIXTURE))
         assert run("montecarlo", "--config", cfg, tmp_path / "out.csv") == 0
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [("max", "maximum found 2 sources and pca 3"), ("pca", "pca found 3 sources and maximum 2")],
+    )
+    def test_methods_disagreeing_on_the_rank_exit_4(self, tmp_path, capsys, method, message):
+        # the third channel is the sum of the first two plus 3e-6 of a third source:
+        # the maximum method stops at its energy floor after 2 steps (7.8e-13 of the
+        # first energy is left), PCA keeps the third eigenvalue (1.02e-12 of the first)
+        rng = np.random.default_rng(2)
+        s = np.zeros((3, 3000))
+        for row in s:
+            row[rng.choice(3000, 30, replace=False)] = rng.uniform(0.5, 1.5, 30)
+        table = tmp_path / "rank.txt"
+        write_matrix_text(table, np.vstack([s[0], s[1], s[0] + s[1] + 3e-6 * s[2]]))
+        args = ("--method", method, "--compare", tmp_path / "c.txt", tmp_path / "e.txt")
+        assert run("separate", table, *args) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("phasemax: error: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "method, label", [({"method": "pca"}, "pca"), ({**MAXIMUM, "whitening": "none"}, "maximum-none")]
+    )
+    def test_method_finding_fewer_sources_than_the_fixture_exits_4(self, tmp_path, capsys, method, label):
+        # a singular mixing of three sources: both methods find two
+        fixture = {"n_samples": 100, "sources": [[PULSE], [{**PULSE, "center": 20}], [{**PULSE, "center": 80}]]}
+        config = {"fixture": fixture, "mixing": [[1, 0, 1], [0, 1, 1], [1, 1, 2]], "noise_sd": [0],
+                  "n_runs": 1, "methods": [method]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("montecarlo", "--config", cfg, tmp_path / "out.csv") == 4
+        assert capsys.readouterr().err == f"phasemax: error: {label} at noise sd 0 found 2 estimates for 3 sources\n"
 
     @pytest.mark.parametrize("flags, channel", [((), 2), (("--order", "2,1"), 1), (("--order", " 2, 1"), 1)])
     def test_dependent_channel_is_named_in_its_input_numbering(self, tmp_path, capsys, flags, channel):

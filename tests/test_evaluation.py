@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasemax import evaluation
+from phasemax import evaluation, numerics
 from phasemax.errors import (
     DimensionMismatchError,
     InvalidSpecError,
@@ -106,7 +106,7 @@ CORRELATION_TOL = 1e-14
 
 class TestCorrelationPass:
     @pytest.mark.parametrize(
-        "m", [1000, 3 * evaluation._CORRELATION_BLOCK + 17], ids=["one-block", "partial-last-block"]
+        "m", [1000, 3 * numerics._BLOCK_VALUES + 17], ids=["one-block", "partial-last-block"]
     )
     @pytest.mark.parametrize("offset", [0.0, 1e6], ids=["centred", "offset-1e6-spreads"])
     def test_matches_pearson(self, m, offset):
@@ -120,7 +120,7 @@ class TestCorrelationPass:
         np.testing.assert_allclose(matrix, oracle, rtol=0, atol=CORRELATION_TOL)
 
     @pytest.mark.parametrize(
-        "m", [1000, 3 * evaluation._CORRELATION_BLOCK + 17], ids=["one-block", "partial-last-block"]
+        "m", [1000, 3 * numerics._BLOCK_VALUES + 17], ids=["one-block", "partial-last-block"]
     )
     @settings(max_examples=20, deadline=None)
     @given(exponents=st.lists(st.integers(-990, -520) | st.integers(-450, 300), min_size=6, max_size=6))
@@ -241,7 +241,7 @@ class TestAssociate:
     def test_zero_variance_raises_across_blocks(self, value):
         # the first block's mean need not be the value to the bit; the
         # centred sums of a constant row still come to 0 in every block
-        m = 3 * evaluation._CORRELATION_BLOCK + 17
+        m = 3 * numerics._BLOCK_VALUES + 17
         truth = MultichannelSignal(np.random.default_rng(88).normal(size=(2, m)))
         estimates = MultichannelSignal(np.vstack([truth.data[0], np.full(m, value)]))
         with pytest.raises(ZeroVarianceError):

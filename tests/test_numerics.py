@@ -199,3 +199,15 @@ class TestSymmetricEig:
         first, second = symmetric_eig(a + a.T), symmetric_eig(a + a.T)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("j", [-900, -500, -301, -7, 6, 300, 490])
+    def test_power_of_two_scale_keeps_the_eigenvector_bits(self, n, j):
+        # LAPACK scales a matrix outside [2**-485, 2**485] by a factor that is not
+        # a power of two; the last singular channel makes one eigenvalue near 0
+        x = np.random.default_rng(17).normal(size=(n, 4 * n))
+        x[-1] = x[0] + 1e-7 * x[-1]
+        g = x @ x.T
+        base, scaled = symmetric_eig(g), symmetric_eig(np.ldexp(g, j))
+        np.testing.assert_array_equal(scaled.eigenvectors, base.eigenvectors)
+        np.testing.assert_array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, j))
