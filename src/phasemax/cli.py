@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, ingest, pca, separation, signals, whitening
+from . import evaluation, ingest, separation, signals
 from .errors import InvalidSpecError, PhasemaxError, ZeroSignalError
 from .ingest import format_number as _fmt
 
@@ -291,29 +291,23 @@ def _cmd_separate(args) -> int:
         raise InvalidSpecError(f"--order: {args.order!r} is not a list of ints like 2,1") from None
     if args.method == "pca" and args.whiten != "none":
         raise InvalidSpecError("--whiten applies to --method max only")
-    whitening._check_settings(args.whiten, order)
+    methods = {
+        "max": evaluation.MethodSpec("maximum", args.whiten, order),
+        "pca": evaluation.MethodSpec("pca"),
+    }
+    other = "pca" if args.method == "max" else "max"
     signal = _read_signal(args.input, skip_columns=args.skip_columns)
     if args.center:
         signal = signals.center(signal)
 
-    if args.method == "max":
-        result = separation.separate_maximum(signal, whitening=args.whiten, order=order)
-    else:
-        result = pca.pca_separate(signal)
-
+    result = methods[args.method].run(signal)
     ingest.write_matrix_text(args.out_estimates, result.series_matrix)
     if args.out_directions is not None:
         _write_lines(args.out_directions, _directions_doc(result))
 
     if args.compare is not None:
-        other = (
-            pca.pca_separate(signal)
-            if args.method == "max"
-            else separation.separate_maximum(signal, whitening=args.whiten, order=order)
-        )
-        report = evaluation.cross_method_correlations(result, other)
-        left, right = args.method, ("pca" if args.method == "max" else "max")
-        _write_lines(args.compare, _association_doc(report, left, right))
+        report = evaluation.cross_method_correlations(result, methods[other].run(signal))
+        _write_lines(args.compare, _association_doc(report, args.method, other))
     return 0
 
 

@@ -36,8 +36,8 @@ def pca_separate(signal: MultichannelSignal) -> SeparationResult:
 
     Raises
     ------
-    DegenerateInputError
-        If the second moment matrix has no positive eigenvalue at all.
+    ZeroSignalError, NonFiniteError
+        From ``_scaled_up``: every value is zero, or the energy overflows float64.
     """
     signal, exponent = _scaled_up(signal)
     vectors, rows, squares = _principal_components(signal)

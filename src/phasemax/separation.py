@@ -146,12 +146,18 @@ def radius_series(signal: MultichannelSignal) -> np.ndarray:
 def _scaled_up(signal: MultichannelSignal):
     """``(signal * 2**k, k)``, with ``k > 0`` only where every square may underflow.
 
-    That is where the Gram matrix's trace is below ``_TINY**2``: a signal
-    whose largest |value| is at least ``_TINY`` has a larger one, so it is
-    returned as it is, with ``k = 0``.  Below, a nonzero signal is scaled
-    exactly, by the power of ``_scale_exponent``, and a zero one is not.
+    Every separator's one judge of the signal's energy, the Gram matrix's
+    trace: it raises ``NonFiniteError`` if that overflows.  Below
+    ``_TINY**2`` a nonzero signal is scaled exactly, by the power of
+    ``_scale_exponent`` (one whose largest |value| is at least ``_TINY``
+    has a larger energy); a zero one raises ``ZeroSignalError``.
     """
-    k = _scale_exponent(signal.data) if signal._gram.trace() < _TINY**2 else 0
+    energy = signal._gram.trace()
+    if not np.isfinite(energy):
+        raise NonFiniteError("signal energy overflows float64; rescale the input")
+    k = _scale_exponent(signal.data) if energy < _TINY**2 else 0
+    if energy == 0.0 and not k:
+        raise ZeroSignalError("cannot separate an identically zero signal")
     return (MultichannelSignal._wrap(np.ldexp(signal.data, k)) if k else signal), k
 
 
@@ -215,16 +221,13 @@ def separate_maximum(
     Raises
     ------
     ZeroSignalError
-        If every value of the input is zero.
+        If every value of the input is zero (``_scaled_up``).
     NonFiniteError
-        If the energy of the (whitened) data overflows to infinity.
+        If the energy of the data or of the whitened data overflows float64.
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
     signal, exponent = _scaled_up(signal)
-    if signal._gram.trace() == 0.0:  # scaled up, only an all-zero signal
-        raise ZeroSignalError("cannot separate an identically zero signal")
-
     work, transform = apply_whitening(signal, whitening, order)
     if work is signal:  # no whitening: z is the caller's data, and it is overwritten below
         z = signal.data.copy()

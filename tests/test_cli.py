@@ -14,6 +14,7 @@ from phasemax import cli, errors
 from phasemax.cli import main, parse_channels, parse_mixing
 from phasemax.errors import InvalidSpecError
 from phasemax.ingest import Recording, read_matrix_text, write_matrix_text
+from phasemax.numerics import symmetric_eig
 from phasemax.pca import pca_separate
 from phasemax.separation import radius_series
 from phasemax.signals import (
@@ -24,8 +25,9 @@ from phasemax.signals import (
     generate_sources,
     mix,
 )
-from reference import write_edf
-from test_separation import scale_exponents
+from phasemax.whitening import METHODS, apply_whitening
+from reference import explicit_deflation, write_edf
+from test_separation import FRAME_TOL, scale_exponents
 
 
 def run(*args):
@@ -345,6 +347,97 @@ class TestPowerOfTwoScalingAtTheCommandLine:
                 assert text == fields[key]
         assert scaled_compare == compare
         assert scaled_report == report
+
+
+def stand_apart(values):
+    """Whether no two of ``values`` agree to 1e-9 relative."""
+    v = np.sort(np.abs(values))
+    return bool(np.all(np.diff(v) > 1e-9 * v[1:]))
+
+
+def winners_stand_apart(z):
+    """Whether at every step of the explicit loop on ``z`` the farthest sample's
+    radius leads every other by more than 1e-9 relative, so that the extraction
+    order does not hang on rounding."""
+    for data in [z] + [step.residual for step in explicit_deflation(z)][:-1]:
+        r = np.sort(np.sqrt((data**2).sum(axis=0)))
+        if r[-2] >= (1 - 1e-9) * r[-1]:
+            return False
+    return True
+
+
+def separate_variants(n):
+    """Every ``separate`` variant on ``n`` channels, by name."""
+    return {
+        "none": ["--whiten", "none"],
+        "gram-schmidt": ["--whiten", "gram-schmidt"],
+        "gram-schmidt-reversed": ["--whiten", "gram-schmidt", "--order", ",".join(map(str, range(n, 0, -1)))],
+        "pca-whitening": ["--whiten", "pca"],
+        "pca-baseline": ["--method", "pca"],
+        "pca-centered": ["--method", "pca", "--center"],
+    }
+
+
+class TestDeterminismAtTheCommandLine:
+    """README "Determinism" on generated sparse tables read back from text:
+    permuting the channels changes no estimate beyond rounding, and running
+    a command again writes the same bytes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m=st.integers(16, 2000),
+        data=st.data(),
+    )
+    def test_permuting_the_channels_changes_no_estimate(self, tmp_path_factory, seed, n, m, data):
+        # The bound is TestFrameInvariance's, 64 eps times the data's condition
+        # number of the largest value, fixed before the first run.  The PCA
+        # baseline's series are eigenvector projections, and LAPACK's eigenvectors
+        # of a permuted Gram matrix differ by eps over the relative eigenvalue gap
+        # (2.1e-13 at a gap of 5.8e-4, on an exactly permuted matrix), so its bound
+        # is divided by that gap.
+        perm = data.draw(st.permutations(range(n)))
+        table = sparse_table(seed, n, m)
+        signal = MultichannelSignal(table)
+        eig = symmetric_eig(table @ table.T)
+        assume(stand_apart(eig.eigenvalues))
+        # the PCA baseline's sign rule: each eigenvector's largest |entry| is positive
+        assume(all(stand_apart(np.sort(np.abs(v))[-2:]) for v in eig.eigenvectors.T))
+        assume(all(winners_stand_apart(apply_whitening(signal, w)[0].data) for w in METHODS))
+        work = tmp_path_factory.mktemp("permute")
+        base, permuted = work / "base.txt", work / "permuted.txt"
+        write_matrix_text(base, table)
+        write_matrix_text(permuted, table[list(perm)])
+        order = ",".join(str(perm.index(i) + 1) for i in range(n))  # undoes the permutation
+        gap = np.diff(-eig.eigenvalues).min() / eig.eigenvalues[0]
+        for name, flags, permuted_flags, conditioning in [
+            ("none", ["--whiten", "none"], [], 1.0),
+            ("gram-schmidt", ["--whiten", "gram-schmidt"], ["--order", order], 1.0),
+            ("pca-whitening", ["--whiten", "pca"], [], 1.0),
+            ("pca-baseline", ["--method", "pca"], [], 1 / gap),
+        ]:
+            est, permuted_est = work / f"{name}.txt", work / f"{name}-permuted.txt"
+            assert run("separate", base, *flags, est) == 0
+            assert run("separate", permuted, *flags, *permuted_flags, permuted_est) == 0
+            expected = np.loadtxt(est, ndmin=2)
+            bound = FRAME_TOL * np.linalg.cond(table) * conditioning * np.abs(expected).max()
+            np.testing.assert_allclose(np.loadtxt(permuted_est, ndmin=2), expected, rtol=0, atol=bound, err_msg=name)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(16, 2000))
+    def test_a_rerun_writes_the_same_bytes(self, tmp_path_factory, seed, n, m):
+        work = tmp_path_factory.mktemp("rerun")
+        table = work / "table.txt"
+        write_matrix_text(table, sparse_table(seed, n, m))
+        for name, flags in separate_variants(n).items():
+            doc, compare, est, report = (work / f"{name}-{part}.txt" for part in "dcer")
+            written = []
+            for _ in range(2):  # the same paths, so evaluate echoes the same names
+                assert run("separate", table, *flags, "--out-directions", doc, "--compare", compare, est) == 0
+                assert run("evaluate", table, est, "--out", report) == 0
+                written.append([path.read_bytes() for path in (doc, compare, est, report)])
+            assert written[0] == written[1], name
 
 
 def montecarlo_config(tmp_path, n_runs=3):
@@ -790,6 +883,12 @@ class TestExitCodeContract:
                 "label 'maximum-gramschmidt'",
             ),
             ({**MC_CONFIG, "noise_sd": [0.001, 0.0010000001]}, "name '0.001'"),
+            # refused when the config is read, not after the 4000 separations before the level
+            (
+                {"preset": "disjoint", "noise_sd": [0.001, 0.005, math.inf], "n_runs": 1000,
+                 "methods": [{"method": "maximum"}, {"method": "pca"}]},
+                "noise sd must be finite and >= 0, got inf",
+            ),
             (
                 {"fixture": {"n_samples": 1e300, "sources": [[PULSE]]}, "noise_sd": [0.0],
                  "n_runs": 1, "methods": [{"method": "pca"}]},
@@ -874,7 +973,7 @@ class TestExitCodeContract:
     def test_bad_noise_sd_exits_2(self, tmp_path, capsys, sd):
         out = tmp_path / "out.txt"
         assert run("gen", "--preset", "disjoint", "--noise-sd", sd, out) == 2
-        self.assert_clean_error(capsys)
+        assert capsys.readouterr().err == f"phasemax: error: noise sd must be finite and >= 0, got {sd}\n"
         assert not out.exists()
 
     def test_integer_over_4300_digits_exits_2(self, tmp_path, capsys):
@@ -895,6 +994,30 @@ class TestExitCodeContract:
         with np.errstate(over="ignore"):
             assert run("separate", big, tmp_path / "out.txt") == 4
         self.assert_clean_error(capsys)
+
+    @pytest.mark.parametrize("compare", [False, True], ids=["alone", "compare"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--whiten", "none"), ("--whiten", "gram-schmidt"), ("--whiten", "pca"), ("--method", "pca")],
+        ids=["none", "gram-schmidt", "pca-whitening", "pca-baseline"],
+    )
+    def test_overflowing_energy_gives_one_message_on_every_route(self, tmp_path, capsys, flags, compare):
+        big = tmp_path / "big.txt"
+        big.write_bytes(OVERFLOW_TABLE)
+        out = tmp_path / "out.txt"
+        extra = ("--compare", tmp_path / "c.txt") if compare else ()
+        assert run("separate", big, *flags, *extra, out) == 4
+        assert capsys.readouterr().err == "phasemax: error: signal energy overflows float64; rescale the input\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["max", "pca"])
+    def test_zero_table_exits_4_with_one_message_for_both_methods(self, tmp_path, capsys, method):
+        zero = tmp_path / "zero.txt"
+        zero.write_text("0 0\n0 0\n")
+        out = tmp_path / "out.txt"
+        assert run("separate", zero, "--method", method, out) == 4
+        assert capsys.readouterr().err == "phasemax: error: cannot separate an identically zero signal\n"
+        assert not out.exists()
 
     def test_overflowing_gram_schmidt_whitening_exits_4(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,13 +100,45 @@ class TestPearson:
 
 # The blocked correlation pass against the per-pair oracle: fixed before
 # the first run at 1e-14, the largest change to a correlation this pass may
-# make.  Each block is centred on a shift known to the bit, so an offset far
-# above the spread costs no digits (block means rounded to float64 and
-# merged lost up to 8e-13 on rows offset like these).
+# make.  Each block after the first is centred on a shift known to the bit,
+# so an offset far above the spread costs no digits (block means rounded to
+# float64 and merged lost up to 8e-13 on rows offset like these).
 CORRELATION_TOL = 1e-14
 
 
+def exact_correlation(a, b) -> float:
+    """Pearson correlation of two float64 rows from exact integer sums, rounded once.
+
+    Every value is a dyadic rational, so scaled by the largest denominator
+    it is an integer; ``m^2`` times the covariance and the variances are
+    then exact, and only the last square root rounds.
+    """
+    ratios = [v.as_integer_ratio() for v in a.tolist() + b.tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    x, y, m = ints[: len(a)], ints[len(a) :], len(a)
+    sx, sy = sum(x), sum(y)
+    cov = m * sum(map(operator.mul, x, y)) - sx * sy
+    var_x = m * sum(v * v for v in x) - sx * sx
+    var_y = m * sum(v * v for v in y) - sy * sy
+    return math.copysign(math.sqrt(Fraction(cov * cov, var_x * var_y)), cov)
+
+
 class TestCorrelationPass:
+    @pytest.mark.parametrize("offset", [1e10, 1e12])
+    def test_offset_rows_of_several_blocks_match_exact_rationals(self, offset):
+        # on more than one block every shift is known to the bit: rows offset
+        # far above their spread keep each correlation to 1e-15 (fixed before
+        # the first run) of the exact one.  A single block does not promise it.
+        m = 3 * numerics._BLOCK_VALUES + 17
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=(2, m))
+        y = rng.normal(size=(2, 2)) @ x + rng.normal(size=(2, m))
+        x += offset * x.std(axis=1, keepdims=True) * [[1.0], [-1.0]]
+        y += offset * y.std(axis=1, keepdims=True)
+        oracle = [[exact_correlation(a, b) for b in y] for a in x]
+        np.testing.assert_allclose(evaluation._correlation_matrix(x, y), oracle, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "m", [1000, 3 * numerics._BLOCK_VALUES + 17], ids=["one-block", "partial-last-block"]
     )
@@ -485,6 +519,16 @@ class TestMonteCarloRms:
     def test_empty_or_negative_noise_levels_are_rejected(self, noise_sds):
         with pytest.raises(InvalidSpecError):
             small_config(noise_sds=noise_sds)
+
+    @pytest.mark.parametrize("sd", [math.inf, math.nan])
+    def test_non_finite_noise_level_is_rejected_when_built(self, sd):
+        # NoiseSpec's rule, checked before the first run rather than at its level's
+        with pytest.raises(InvalidSpecError, match="finite and >= 0"):
+            small_config(noise_sds=(0.001, sd))
+
+    def test_negative_base_seed_is_rejected_when_built(self):
+        with pytest.raises(InvalidSpecError, match="seed must be >= 0"):
+            small_config(base_seed=-5)
 
     def test_report_layout(self):
         reports = monte_carlo_rms(small_config(noise_sds=(0.001, 0.005)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasemax.errors import DegenerateInputError
+from phasemax.errors import ZeroSignalError
 from phasemax.numerics import symmetric_eig
 from phasemax.pca import pca_separate
 from phasemax.signals import (
@@ -134,7 +134,7 @@ class TestPcaSeparate:
         assert len(result.estimates) == 2
 
     def test_zero_signal_raises(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ZeroSignalError, match="cannot separate an identically zero signal"):
             pca_separate(MultichannelSignal(np.zeros((2, 10))))
 
     def test_centered_model_records_means(self, pure_sources):
