@@ -160,8 +160,6 @@ def _orthonormal_rows(x, gram, order):
         forward = inverse @ forward
         for lo in range(0, x.shape[1], width):
             basis[:, lo : lo + width] = inverse @ basis[:, lo : lo + width]
-    # written so that nan fails too: numpy's Cholesky of a Gram matrix that
-    # overflowed to inf gives nan instead of an error
     independent = coeffs.diagonal() / norms > _DEPENDENCE_TOL
     if not independent.all():
         row = np.argmin(independent)

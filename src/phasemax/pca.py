@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .separation import SeparationResult, _result, _scaled_down, _scaled_up
+from .separation import SeparationResult, _result, _scaled_down
 from .signals import MultichannelSignal
-from .whitening import WhiteningTransform, _principal_components
+from .whitening import WhiteningTransform, _principal_components, _scaled_up
 
 
 def pca_separate(signal: MultichannelSignal) -> SeparationResult:

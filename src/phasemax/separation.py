@@ -44,14 +44,14 @@ point lies between their directions and the method degrades by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, ZeroSignalError
 from .numerics import _BLOCK_VALUES, _TINY, _row_squares, _scale_exponent
 from .signals import MultichannelSignal
-from .whitening import WhiteningTransform, apply_whitening
+from .whitening import WhiteningTransform, _scaled_up, apply_whitening
 
 # Stop deflating once this fraction of the initial energy remains.
 DEFAULT_ENERGY_FLOOR = 1e-12
@@ -143,37 +143,15 @@ def radius_series(signal: MultichannelSignal) -> np.ndarray:
     return r
 
 
-def _scaled_up(signal: MultichannelSignal):
-    """``(signal * 2**k, k)``, with ``k > 0`` only where every square may underflow.
-
-    Every separator's one judge of the signal's energy, the Gram matrix's
-    trace: it raises ``NonFiniteError`` if that overflows.  Below
-    ``_TINY**2`` a nonzero signal is scaled exactly, by the power of
-    ``_scale_exponent`` (one whose largest |value| is at least ``_TINY``
-    has a larger energy); a zero one raises ``ZeroSignalError``.
-    """
-    energy = signal._gram.trace()
-    if not np.isfinite(energy):
-        raise NonFiniteError("signal energy overflows float64; rescale the input")
-    k = _scale_exponent(signal.data) if energy < _TINY**2 else 0
-    if energy == 0.0 and not k:
-        raise ZeroSignalError("cannot separate an identically zero signal")
-    return (MultichannelSignal._wrap(np.ldexp(signal.data, k)) if k else signal), k
-
-
 def _scaled_down(result: SeparationResult, k: int) -> SeparationResult:
-    """The result for data ``x`` from the ``result`` for ``x * 2**k``.
+    """The unwhitened ``result`` for data ``x`` from the one for ``x * 2**k``.
 
-    Whitened rows do not depend on the scale of the data, so a whitened
-    result keeps its series, radii and energies and its ``forward`` takes
-    the factor ``2**k``.  Otherwise the series and radii are scaled by
-    ``2**-k`` and the residual energies by ``2**-2k``.
+    The series and radii are scaled by ``2**-k`` and the residual
+    energies by ``2**-2k``.  A whitened result needs no scaling back: its
+    whitening's ``forward`` already carries the ``2**k``.
     """
     if not k:
         return result
-    if result.whitening.method != "none":
-        forward = np.ldexp(result.whitening.forward, k)
-        return replace(result, whitening=replace(result.whitening, forward=forward))
     found = [
         (e.direction, e.argmax_index, None if e.radius is None else math.ldexp(e.radius, -k))
         for e in result.estimates
@@ -214,22 +192,22 @@ def separate_maximum(
     radius and direction comes from the winning sample's residual,
     rebuilt exactly, and scaled up by a power of two before squaring
     when its largest |value| is below ``_TINY``.  Data whose every square
-    may underflow are separated scaled up by a power of two, and the
-    result is scaled back (``_scaled_up``, ``_scaled_down``).  The
-    signal's data is never written to.
+    may underflow are separated scaled up by a power of two
+    (``_scaled_up``); unwhitened, the result is scaled back
+    (``_scaled_down``).  The signal's data is never written to.
 
     Raises
     ------
-    ZeroSignalError
-        If every value of the input is zero (``_scaled_up``).
-    NonFiniteError
-        If the energy of the data or of the whitened data overflows float64.
+    ZeroSignalError, NonFiniteError
+        From ``_scaled_up``, within the whitening if there is one: every
+        value is zero, or the energy overflows float64.
     DegenerateInputError
         Propagated from whitening on rank-deficient data.
     """
-    signal, exponent = _scaled_up(signal)
     work, transform = apply_whitening(signal, whitening, order)
+    exponent = 0
     if work is signal:  # no whitening: z is the caller's data, and it is overwritten below
+        signal, exponent = _scaled_up(signal)
         z = signal.data.copy()
         gram = signal._gram  # residual energy k is the last one less d_k . gram . d_k
     else:  # the whitened array is this call's own, and its rows are orthonormal
@@ -238,8 +216,6 @@ def separate_maximum(
         gram = None  # residual energy k is the last one less |s_k|**2, from the written series
     r2 = _squared_radii(z)  # squared radii before any deflation
     initial = float(r2.sum())
-    if not np.isfinite(initial):
-        raise NonFiniteError("signal energy overflows float64; rescale the input")
     energies = [initial]
     found = []  # (direction, argmax index, radius) per extraction
     directions = np.empty((len(z), len(z)))  # row k is d_k, once found

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidSpecError
-from .numerics import _orthonormal_rows, _row_squares, symmetric_eig
+from .errors import DegenerateInputError, InvalidSpecError, NonFiniteError, ZeroSignalError
+from .numerics import _TINY, _orthonormal_rows, _row_squares, _scale_exponent, symmetric_eig
 from .signals import MultichannelSignal
 
 METHODS = ("none", "gram_schmidt", "pca")
@@ -61,6 +61,25 @@ class WhiteningTransform:
         return cls("none", np.eye(n_channels), None)
 
 
+def _scaled_up(signal: MultichannelSignal):
+    """``(signal * 2**k, k)``, with ``k > 0`` only where every square may underflow.
+
+    The one judge of a signal's energy, the Gram matrix's trace, for both
+    whitenings (which multiply ``forward`` by ``2**k``) and both separators:
+    it raises ``NonFiniteError`` if that overflows.  Below ``_TINY**2`` a
+    nonzero signal is scaled exactly, by the power of ``_scale_exponent``
+    (one whose largest |value| is at least ``_TINY`` has a larger energy);
+    a zero one raises ``ZeroSignalError``.
+    """
+    energy = signal._gram.trace()
+    if not np.isfinite(energy):
+        raise NonFiniteError("signal energy overflows float64; rescale the input")
+    k = _scale_exponent(signal.data) if energy < _TINY**2 else 0
+    if energy == 0.0 and not k:
+        raise ZeroSignalError("cannot separate an identically zero signal")
+    return (MultichannelSignal._wrap(np.ldexp(signal.data, k)) if k else signal), k
+
+
 def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     """Orthonormalize the channels by Gram-Schmidt (computed as CholeskyQR2).
 
@@ -80,6 +99,10 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
 
     Raises
     ------
+    InvalidSpecError
+        If ``order`` is not a permutation of 1..N.
+    ZeroSignalError, NonFiniteError
+        From ``_scaled_up``: every value is zero, or the energy overflows float64.
     DegenerateInputError
         If the channels are rank deficient.
     """
@@ -87,8 +110,9 @@ def whiten_gram_schmidt(signal: MultichannelSignal, order=None):
     order = tuple(range(1, n + 1)) if order is None else tuple(int(i) for i in order)
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidSpecError(f"channel order must be a permutation of 1..{n}, got {order}")
+    signal, k = _scaled_up(signal)
     basis, _, forward = _orthonormal_rows(signal.data, signal._gram, np.subtract(order, 1))
-    return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", forward, order)
+    return MultichannelSignal._wrap(basis), WhiteningTransform("gram_schmidt", np.ldexp(forward, k), order)
 
 
 def second_moment(signal: MultichannelSignal) -> np.ndarray:
@@ -108,12 +132,10 @@ def _principal_components(signal: MultichannelSignal):
     The vectors are the second-moment eigenvectors, as columns in
     descending eigenvalue order.  The projection is one matrix product
     and the sums one row-norm product (``numerics._row_squares``), so PCA
-    whitening and the PCA baseline of one signal get the same bits.
-    Raises ``DegenerateInputError`` if no eigenvalue is positive.
+    whitening and the PCA baseline of one signal get the same bits.  Both
+    judge the signal first (``_scaled_up``), so its largest eigenvalue is positive.
     """
     eig = symmetric_eig(second_moment(signal))
-    if eig.eigenvalues[0] <= 0.0:
-        raise DegenerateInputError("second moment matrix has no positive eigenvalue")
     rank = int(np.count_nonzero(eig.eigenvalues > _RANK_TOL * eig.eigenvalues[0]))
     vectors = eig.eigenvectors[:, :rank]
     rows = vectors.T @ signal.data
@@ -129,16 +151,19 @@ def whiten_pca(signal: MultichannelSignal):
 
     Raises
     ------
+    ZeroSignalError, NonFiniteError
+        From ``_scaled_up``: every value is zero, or the energy overflows float64.
     DegenerateInputError
         If the second moment matrix is numerically rank deficient.
     """
+    signal, k = _scaled_up(signal)
     vectors, components, squares = _principal_components(signal)
     if vectors.shape[1] < signal.n_channels:
         raise DegenerateInputError("second moment matrix is rank deficient")
     if np.any(squares == 0.0):
         raise DegenerateInputError("a principal component series is identically zero")
     norms = np.sqrt(squares)
-    forward = vectors.T / norms[:, np.newaxis]
+    forward = np.ldexp(vectors.T / norms[:, np.newaxis], k)
     components /= norms[:, np.newaxis]  # in place: one N x M array fewer at the peak
     return MultichannelSignal._wrap(components), WhiteningTransform("pca", forward, None)
 

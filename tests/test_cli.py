@@ -1153,7 +1153,8 @@ for argv in [
 """
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+def thread_count_outputs(tmp_path, script, *args):
+    """Every file ``script`` writes, run with ``args`` in one fresh process per BLAS thread count, 1 and 2."""
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = {}
     for threads in ("1", "2"):
@@ -1162,9 +1163,48 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
         proc = subprocess.run(
-            [sys.executable, "-c", THREAD_SCRIPT], cwd=work, env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", script, *map(str, args)],
+            cwd=work,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         outputs[threads] = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    outputs = thread_count_outputs(tmp_path, THREAD_SCRIPT)
     assert len(outputs["1"]) == 17
+    assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+
+
+# (seed, channels, samples) of sparse tables long enough that OpenBLAS splits
+# whole-row work across threads; odd lengths end in a partial column block.
+THREAD_TABLES = [(11, 2, 20_000), (12, 3, 24_577), (13, 5, 30_001), (14, 8, 20_480)]
+
+# One process separates every table it is given, by both PCA routes.
+THREAD_TABLES_SCRIPT = """
+import sys
+from pathlib import Path
+from phasemax.cli import main
+for table in sys.argv[1:]:
+    name = Path(table).stem
+    for argv in [
+        ["separate", table, "--whiten", "pca", "--out-directions", f"{name}-wd.txt", "--compare", f"{name}-wc.txt", f"{name}-we.txt"],
+        ["separate", table, "--method", "pca", "--out-directions", f"{name}-pd.txt", f"{name}-pe.txt"],
+    ]:
+        assert main(argv) == 0, argv
+"""
+
+
+def test_generated_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    tables = []
+    for seed, n, m in THREAD_TABLES:
+        tables.append(tmp_path / f"table{seed}.txt")
+        write_matrix_text(tables[-1], sparse_table(seed, n, m))
+    outputs = thread_count_outputs(tmp_path, THREAD_TABLES_SCRIPT, *tables)
+    assert len(outputs["1"]) == 5 * len(THREAD_TABLES)
     assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []

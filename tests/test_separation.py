@@ -23,7 +23,7 @@ from phasemax.signals import (
     generate_sources,
     mix,
 )
-from phasemax.whitening import apply_whitening, whiten_gram_schmidt
+from phasemax.whitening import apply_whitening, whiten_gram_schmidt, whiten_pca
 from reference import explicit_deflation, pearson
 
 
@@ -470,6 +470,20 @@ class TestPowerOfTwoScaling:
         np.testing.assert_array_equal(result.series_matrix, np.ldexp(base.series_matrix, s))
         np.testing.assert_array_equal(result.residual_energy, np.ldexp(base.residual_energy, 2 * s))
         np.testing.assert_array_equal(result.whitening.forward, np.ldexp(base.whitening.forward, s - j))
+
+    @pytest.mark.parametrize("whiten", [whiten_gram_schmidt, whiten_pca])
+    @settings(max_examples=20, deadline=None)
+    @given(j=st.integers(-1100, 600))
+    @example(j=-600)
+    def test_whitenings_scale_exactly(self, fixture, whiten, j):
+        # called directly too, the whitenings take data whose squares all underflow
+        signal = SCALING_FIXTURES[fixture]()
+        low, high = scale_exponents(signal.data)
+        assume(low <= j <= high)
+        base, base_transform = whiten(signal)
+        white, transform = whiten(MultichannelSignal(np.ldexp(signal.data, j)))
+        np.testing.assert_array_equal(white.data, base.data)
+        np.testing.assert_array_equal(transform.forward, np.ldexp(base_transform.forward, -j))
 
     @pytest.mark.parametrize("method", ["pca-whitening", "pca-baseline"])
     @settings(max_examples=20, deadline=None)

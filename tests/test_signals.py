@@ -146,6 +146,11 @@ class TestMultichannelSignal:
             assert a.series_matrix.tobytes() == b.series_matrix.tobytes()
             assert a.residual_energy.tobytes() == b.residual_energy.tobytes()
 
+    def test_one_dimensional_data_is_one_channel(self):
+        sig = MultichannelSignal([1.0, -2.0, 3.0])
+        assert (sig.n_channels, sig.n_samples) == (1, 3)
+        np.testing.assert_array_equal(sig.data, [[1.0, -2.0, 3.0]])
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             MultichannelSignal([[1.0, np.nan]])

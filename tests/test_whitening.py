@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasemax.errors import DegenerateInputError, InvalidSpecError
-from phasemax.numerics import _orthonormal_rows, _row_squares
+from phasemax.errors import DegenerateInputError, InvalidSpecError, NonFiniteError, ZeroSignalError
+from phasemax.numerics import _orthonormal_rows, _row_squares, _scale_exponent
 from phasemax.pca import pca_separate
 from phasemax.signals import (
     OBLIQUE_MIXING,
@@ -255,6 +255,33 @@ class TestWhiteningProperties:
                     np.linalg.norm(images[i]) * np.linalg.norm(images[j])
                 )
                 assert cosine <= 1e-8
+
+    # Called directly, both whitenings judge the signal's energy as the
+    # separators do, rather than failing later with a false cause.
+    @pytest.mark.parametrize("whiten", [whiten_gram_schmidt, whiten_pca])
+    def test_overflowing_energy_raises(self, whiten):
+        big = MultichannelSignal([[1e200, 1.0, 3.0], [1.0, 1e200, 2.0]])
+        message = "^signal energy overflows float64; rescale the input$"
+        with pytest.raises(NonFiniteError, match=message), np.errstate(over="ignore"):
+            whiten(big)
+
+    @pytest.mark.parametrize("whiten", [whiten_gram_schmidt, whiten_pca])
+    def test_zero_signal_raises(self, whiten):
+        with pytest.raises(ZeroSignalError):
+            whiten(MultichannelSignal(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("whiten", [whiten_gram_schmidt, whiten_pca])
+    def test_tiny_values_whiten_as_scaled_up(self, whiten):
+        # every square underflows: the rows are those of the table times 2**k,
+        # and the forward map carries the 2**k
+        data = np.array([[3e-170, 1e-171, 5e-171], [1e-171, 2e-170, 7e-171]])
+        k = _scale_exponent(data)
+        assert k > 0
+        white, transform = whiten(MultichannelSignal(data))
+        scaled_white, scaled = whiten(MultichannelSignal(np.ldexp(data, k)))
+        np.testing.assert_array_equal(white.data, scaled_white.data)
+        np.testing.assert_array_equal(transform.forward, np.ldexp(scaled.forward, k))
+        np.testing.assert_allclose(sample_gram(white), np.eye(2), rtol=0, atol=1e-15)
 
     def test_none_is_identity(self):
         sig = MultichannelSignal(np.random.default_rng(34).normal(size=(2, 10)))
