@@ -20,9 +20,11 @@ files; EDF is only read.
 
 from __future__ import annotations
 
+import collections
+import functools
 import io
+import itertools
 import os
-import warnings
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -64,11 +66,13 @@ class Recording:
 # Delimited text matrices
 # ---------------------------------------------------------------------------
 
-# Bytes that keep a file away from np.loadtxt: anything non-ASCII, and
-# the line breaks str.splitlines honours but loadtxt does not (with a
-# form feed it would silently merge two rows into one).
-_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-_SCAN_BLOCK = 1 << 20
+_CHUNK = 1 << 18  # bytes read at a time, then to the end of the line; 1 MiB chunks grew each thread's heap by ~8 MB
+# The bytes of blank-separated numbers, inf, infinity and nan; any other
+# byte after the header sends the file to the token loop.
+_NUMBER_BYTES = b"0123456789+-.eE \t\r\ninfatyINFATY"
+_COMMAS_TO_BLANKS = bytes.maketrans(b",", b" ")
+# Below this, half the spacing of float64 values (2**-1075) is not a float64.
+_LOWEST_BINADE = 2 * np.finfo(np.float64).tiny
 _WRITE_BLOCK = 8192  # values per block: 1024 rows of 8 channels; _Formatter.words holds ~300 bytes a value
 _MAX_TEXT = 24  # longest _NUMBER_FORMAT text of a float64, e.g. -2.2250738585072014e-308
 
@@ -79,16 +83,10 @@ def _tokenize(line, delimiter):
     return [tok.strip() for tok in line.split(delimiter)]
 
 
-def _needs_token_loop(path) -> bool:
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            if not block.isascii() or any(b in block for b in _LINE_BREAKS):
-                return True
-    return False
-
-
 def _header(lines, delimiter):
-    """Labels of a header row among ``lines`` (None if the first row is numeric) and lines to skip."""
+    """``(labels, skiprows, width)`` of ``lines``: the header row's labels (None if
+    the first row is numeric), the lines to skip, and the first row's token count
+    (0 if every line is blank)."""
     for lineno, line in enumerate(lines, start=1):
         tokens = _tokenize(line, delimiter)
         if not tokens or all(t == "" for t in tokens):
@@ -96,9 +94,9 @@ def _header(lines, delimiter):
         try:
             list(map(float, tokens))
         except ValueError:
-            return tokens, lineno
-        return None, 0
-    return None, 0
+            return tokens, lineno, len(tokens)
+        return None, 0, len(tokens)
+    return None, 0, 0
 
 
 def _recording(columns, labels, skip_columns) -> Recording:
@@ -120,15 +118,14 @@ def _recording(columns, labels, skip_columns) -> Recording:
 def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) -> Recording:
     """Read a numeric table, one channel per column.
 
-    Whitespace- and comma-delimited files are parsed by ``np.loadtxt``.
-    A file that loadtxt might read differently from ``str.splitlines``
-    and ``float()`` (a byte that is not ASCII, a vertical tab, form feed
-    or \\x1c-\\x1e line break), that it rejects (a bad token, a ragged
-    row, no data) or whose header is not as wide as its rows goes
-    through a token-by-token reader instead, which gives the same
-    result or names the line and column of the fault.  So a CSV file
-    with a line of only blanks and commas, which loadtxt rejects and the
-    token loop skips, is read by the token loop.
+    Whitespace- and comma-delimited files are parsed in line-aligned
+    chunks of about 256 KiB, one thread per available core
+    (``_read_chunks``); the result does not depend on the number of
+    threads.  A file with a byte that is not part of a number, a blank,
+    a delimiter or an LF or CRLF line end, with a row of the wrong
+    width, a token that does not parse, a CSV field left empty, or no
+    data, goes through a token-by-token reader instead, which gives the
+    same result or names the line and column of the fault.
 
     Parameters
     ----------
@@ -153,35 +150,131 @@ def read_matrix_text(path, delimiter: str | None = None, skip_columns: int = 0) 
     """
     if delimiter not in (None, ","):
         raise InvalidSpecError(f"delimiter must be None or ',', got {delimiter!r}")
-    loaded = _loadtxt(path, delimiter)
+    loaded = _read_chunks(path, delimiter)
     if loaded is None:
         return _read_tokens(path, delimiter, skip_columns)
     return _recording(*loaded, skip_columns)
 
 
-def _loadtxt(path, delimiter):
-    """``(channels, labels)`` parsed by ``np.loadtxt``, or None to use the token loop."""
-    if _needs_token_loop(path):
+def _chunks(fh):
+    """The bytes of ``fh`` in runs of whole lines of about ``_CHUNK`` bytes; the
+    last run may lack its line end."""
+    while chunk := fh.read(_CHUNK):
+        yield chunk + fh.readline()
+
+
+def _parse_chunk(chunk, delimiter, width):
+    """The rows of ``chunk``, whole lines, as float64 (rows x width), or None for the token loop.
+
+    Every byte must belong to a number, a blank, a delimiter or an LF or
+    CRLF line end; every line must hold ``width`` numbers or none; and
+    in CSV every field must hold one.  ``np.fromstring`` parses the
+    numbers to long double (strtold, without the GIL), and they are
+    rounded to float64.  That rounds twice, so ``float()`` reads again
+    each token whose long double lies halfway between two float64
+    values (where the two roundings can differ), is below
+    ``_LOWEST_BINADE`` or rounds to an infinity.  Where long double is
+    float64, no long double lies halfway.
+    """
+    allowed = _NUMBER_BYTES if delimiter is None else _NUMBER_BYTES + b","
+    if chunk.translate(None, allowed) or (b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
         return None
-    with open(path, "r", encoding="ascii") as fh:
-        labels, skiprows = _header(fh, delimiter)
+    if delimiter is not None:
+        dense = chunk.translate(None, b" \t\r")
+        if b",," in dense or b"\n," in dense or b",\n" in dense or dense[:1] == b"," or dense[-1:] == b",":
+            return None  # an empty field, or a line of only blanks and commas
+        commas = chunk.count(b",")
+        chunk = chunk.translate(_COMMAS_TO_BLANKS)
+    # a line end before the first line and after the last, then one number more
+    padded = b"\n" + chunk + b"\n0"
+    codes = np.frombuffer(padded, dtype=np.uint8)
+    blank = codes <= 32  # blank, tab, CR or LF
+    before = np.flatnonzero(blank[:-1] > blank[1:])  # the byte before each token
+    per_line = np.diff(np.searchsorted(before, np.flatnonzero(codes == 10)))
+    rows = np.count_nonzero(per_line)
+    if not np.all((per_line == 0) | (per_line == width)):
+        return None
+    if delimiter is not None and commas != rows * (width - 1):
+        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns, not raises, on an empty table
-            table = np.loadtxt(
-                path,
-                dtype=float,
-                comments=None,
-                delimiter=delimiter,
-                skiprows=skiprows,
-                ndmin=2,
-                encoding="ascii",
-            )
-    except (ValueError, Warning):
+        wide = np.fromstring(padded, dtype=np.longdouble, sep=" ")
+    except ValueError:  # a token not read to its end
         return None
-    if labels is not None and len(labels) != table.shape[1]:
+    if len(wide) != len(before):  # older numpy warns and stops at such a token
         return None
-    return np.ascontiguousarray(table.T), labels
+    wide = wide[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = wide.astype(np.float64)
+        # wide - values is exact; as a float64 a half spacing stays exact, and any
+        # other value rounded onto one only adds a token to read again
+        low = (wide - values).astype(np.float64)
+        twice = low + low
+        # halfway: values + twice is the float64 neighbour, exactly
+        doubtful = (values + twice) - values == twice
+        doubtful &= low != 0
+        magnitude = np.abs(values)
+        doubtful |= (magnitude < _LOWEST_BINADE) | (magnitude == np.inf)
+    at = np.flatnonzero(doubtful)
+    if at.size:
+        tokens = chunk.split()
+        values[at] = [float(tokens[i]) for i in at.tolist()]
+    return values.reshape(rows, width)
+
+
+def _in_order(parse, chunks, workers):
+    """``parse(chunk)`` for each chunk, in order, on ``workers`` threads with at
+    most ``2 * workers`` chunks read ahead."""
+    if workers < 2:
+        yield from map(parse, chunks)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()
+        for chunk in chunks:
+            pending.append(pool.submit(parse, chunk))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _read_chunks(path, delimiter):
+    """``(channels, labels)`` parsed by ``_parse_chunk``, or None to use the token loop."""
+    with open(path, "rb") as fh:
+        chunks = _chunks(fh)
+        head = next(chunks, b"")
+        try:
+            text = head.decode("ascii")
+        except UnicodeDecodeError:
+            return None
+        lines = text.split("\n")
+        labels, skiprows, width = _header(lines, delimiter)
+        start = sum(map(len, lines[:skiprows])) + skiprows  # the byte after the header
+        # no other line break than LF and CRLF up to there, where str.splitlines would split
+        if not width or start > len(head) or len(text[:start].splitlines()) != skiprows:
+            return None
+        size = os.fstat(fh.fileno()).st_size
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cores, -(-size // _CHUNK))
+        parse = functools.partial(_parse_chunk, delimiter=delimiter, width=width)
+        # Room for the rows of the file at the first chunk's density and 1/16 more,
+        # grown if short.  Each block is copied in here and freed, so the threads'
+        # heaps hold no more than the chunks in flight.
+        table, rows = None, 0
+        for block in _in_order(parse, itertools.chain([head[start:]], chunks), workers):
+            if block is None:
+                return None
+            if table is None:
+                density = len(block) / max(len(head) - start, 1)
+                table = np.empty((int(density * max(size - start, 0) * 17 / 16) + 1, width))  # size 0: a pipe
+            if rows + len(block) > len(table):
+                table = np.concatenate((table[:rows], np.empty((rows + len(block), width))))
+            table[rows : rows + len(block)] = block
+            rows += len(block)
+    if not rows:
+        return None
+    return np.ascontiguousarray(table[:rows].T), labels
 
 
 def _read_tokens(path, delimiter, skip_columns) -> Recording:
@@ -195,17 +288,15 @@ def _read_tokens(path, delimiter, skip_columns) -> Recording:
         lineno = raw.count(b"\n", 0, at) + 1
         raise ParseError(f"line {lineno}: byte {raw[at]:#04x} is not ASCII", line=lineno) from None
 
-    labels, skiprows = _header(lines, delimiter)
-    columns = None if labels is None else [[] for _ in labels]
+    labels, skiprows, width = _header(lines, delimiter)
+    columns = [[] for _ in range(width)]
     for lineno, line in enumerate(lines[skiprows:], start=skiprows + 1):
         tokens = _tokenize(line, delimiter)
         if not tokens or all(t == "" for t in tokens):
             continue
-        if columns is None:  # the first row, numeric, sets the width
-            columns = [[] for _ in tokens]
-        if len(tokens) != len(columns):
+        if len(tokens) != width:
             raise RaggedRowsError(
-                f"line {lineno}: expected {len(columns)} columns, found {len(tokens)}",
+                f"line {lineno}: expected {width} columns, found {len(tokens)}",
                 line=lineno,
             )
         for colno, token in enumerate(tokens, start=1):
@@ -218,7 +309,7 @@ def _read_tokens(path, delimiter, skip_columns) -> Recording:
                     column=colno,
                 ) from None
 
-    if columns is None or not columns[0]:
+    if not columns or not columns[0]:
         raise ParseError("file contains no data rows")
     return _recording(columns, labels, skip_columns)
 

@@ -76,7 +76,7 @@ def _scaled_up(signal: MultichannelSignal):
         raise NonFiniteError("signal energy overflows float64; rescale the input")
     k = _scale_exponent(signal.data) if energy < _TINY**2 else 0
     if energy == 0.0 and not k:
-        raise ZeroSignalError("cannot separate an identically zero signal")
+        raise ZeroSignalError("signal is identically zero")
     return (MultichannelSignal._wrap(np.ldexp(signal.data, k)) if k else signal), k
 
 

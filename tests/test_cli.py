@@ -1016,7 +1016,7 @@ class TestExitCodeContract:
         zero.write_text("0 0\n0 0\n")
         out = tmp_path / "out.txt"
         assert run("separate", zero, "--method", method, out) == 4
-        assert capsys.readouterr().err == "phasemax: error: cannot separate an identically zero signal\n"
+        assert capsys.readouterr().err == "phasemax: error: signal is identically zero\n"
         assert not out.exists()
 
     def test_overflowing_gram_schmidt_whitening_exits_4(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -85,6 +87,24 @@ class TestReadMatrixText:
             read_matrix_text(path)
         assert info.value.line == 20001
         assert "0xff" in str(info.value)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_with_a_header_is_read_in_one_pass(self, tmp_path):
+        # a pipe's size reads as 0, less than its header; it can be opened only once
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        labels = [f"lead{i}" for i in range(30)]
+        text = " ".join(labels) + "\n" + " ".join(["1"] * 30) + "\n"
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        read = {}
+        reader = threading.Thread(target=lambda: read.update(rec=read_matrix_text(path)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert read["rec"].labels == tuple(labels)
+        np.testing.assert_array_equal(read["rec"].signal.data, np.ones((30, 1)))
 
     @pytest.mark.parametrize("max_samples", [1, 15, 16, 17, 95, 96, 500])
     def test_max_samples_equals_slice_of_full_read(self, tmp_path, max_samples):

@@ -134,7 +134,7 @@ class TestPcaSeparate:
         assert len(result.estimates) == 2
 
     def test_zero_signal_raises(self):
-        with pytest.raises(ZeroSignalError, match="cannot separate an identically zero signal"):
+        with pytest.raises(ZeroSignalError, match="signal is identically zero"):
             pca_separate(MultichannelSignal(np.zeros((2, 10))))
 
     def test_centered_model_records_means(self, pure_sources):
